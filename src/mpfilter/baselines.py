@@ -1,8 +1,9 @@
 """Reference filters: bootstrap SIR particle filter and stochastic EnKF.
 
-Both advance each particle through the model transition plus additive
-model noise, then apply their respective analysis step.  The EnKF is the
-perturbed-observation variant without localization or inflation.
+Both advance the ensemble with ``StateSpaceModel.forecast`` (the model
+transition plus additive model noise), then apply their respective
+analysis step.  The EnKF is the perturbed-observation variant without
+localization or inflation.
 """
 
 from __future__ import annotations
@@ -53,19 +54,6 @@ def multinomial_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
     return np.searchsorted(np.cumsum(w), rng.random(n)).clip(0, n - 1)
 
 
-def _forecast(
-    ssm: StateSpaceModel,
-    states: np.ndarray,
-    particle_rngs: list[np.random.Generator],
-    t0: float,
-) -> np.ndarray:
-    out = np.empty_like(states)
-    for j in range(states.shape[0]):
-        advanced = ssm.advance_state(states[j], rng=particle_rngs[j], t0=t0)
-        out[j] = advanced + ssm.q.sample(particle_rngs[j])
-    return out
-
-
 def sir_cycle(
     ssm: StateSpaceModel,
     ens: Ensemble,
@@ -80,7 +68,7 @@ def sir_cycle(
     If every likelihood underflows, the weights are reset to uniform and
     the cycle is flagged degenerate instead of crashing.
     """
-    states = _forecast(ssm, ens.states, particle_rngs, t0)
+    _, states = ssm.forecast(ens.states, particle_rngs, t0)
     n_p = states.shape[0]
     log_lik = np.atleast_1d(log_likelihood(ssm, states, y))
     with np.errstate(divide="ignore"):
@@ -123,7 +111,7 @@ def enkf_cycle(
     """
     if ens.n_particles < 2:
         raise ContractViolation("EnKF needs at least two members")
-    states = _forecast(ssm, ens.states, particle_rngs, t0)
+    _, states = ssm.forecast(ens.states, particle_rngs, t0)
     n_p = states.shape[0]
     h = ssm.obs_matrix
     mean = states.mean(axis=0)

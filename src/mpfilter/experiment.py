@@ -192,7 +192,6 @@ class TwinSetup:
     ensemble0: Ensemble
     streams: RandomStream
     q_diagonal: np.ndarray
-    is_cholera: bool
 
 
 def build_setup(cfg: ExperimentConfig) -> TwinSetup:
@@ -206,7 +205,6 @@ def build_setup(cfg: ExperimentConfig) -> TwinSetup:
     mapping = resolve_mapping_config(cfg, model.n_x)
     streams = RandomStream(cfg.seed)
     init_rng = streams.substream("init")
-    is_cholera = cfg.model == "cholera"
 
     if cfg.model == "lorenz63":
         x0 = np.array([1.0, 1.0, 1.001])
@@ -237,7 +235,6 @@ def build_setup(cfg: ExperimentConfig) -> TwinSetup:
         ensemble0=ens0,
         streams=streams,
         q_diagonal=q_diag,
-        is_cholera=is_cholera,
     )
 
 
@@ -246,19 +243,6 @@ def resolved_config_text(cfg: ExperimentConfig, q_diag: np.ndarray) -> str:
         cfg, q_spec="diag:" + ",".join(repr(float(v)) for v in q_diag)
     )
     return dump_config(resolved)
-
-
-def _advance_ensemble_deterministic(setup: TwinSetup, states: np.ndarray, t: float,
-                                    rngs) -> np.ndarray:
-    """Model transition of every particle, without the additive Q noise."""
-    if setup.is_cholera:
-        out = np.empty_like(states)
-        for j in range(states.shape[0]):
-            out[j], _ = setup.model.advance(
-                states[j], t, setup.ssm.cycle_steps, rngs[j]
-            )
-        return out
-    return advance_window(setup.model, states, setup.ssm.cycle_steps)
 
 
 def run_twin_experiment(
@@ -304,6 +288,7 @@ def run_twin_experiment(
     resample_rng = setup.streams.substream("resampling")
     particle_rngs = setup.streams.particle_streams(cfg.n_particles)
     sir_cfg = SirConfig(cfg.sir_resample_threshold, cfg.sir_resampler)
+    cholera = cfg.model == "cholera"
     records: list[CycleRecord] = []
 
     try:
@@ -312,8 +297,7 @@ def run_twin_experiment(
             started = time.perf_counter()
 
             # --- truth and synthetic observation -------------------------
-            if setup.is_cholera:
-                truth[5] = 0.0
+            if cholera:
                 truth, delta_c = setup.model.advance(
                     truth, t0, cfg.cycle_steps, truth_rng
                 )
@@ -336,15 +320,8 @@ def run_twin_experiment(
             iters = 0
             g0 = g1 = float("nan")
             if cfg.filter == "mpf":
-                states = ensemble.states.copy()
-                if setup.is_cholera:
-                    states[:, 5] = 0.0
-                centers = _advance_ensemble_deterministic(
-                    setup, states, t0, particle_rngs
-                )
-                noise = np.stack([ssm.q.sample(particle_rngs[j])
-                                  for j in range(cfg.n_particles)])
-                forecast = Ensemble.equal_weight(centers + noise)
+                centers, states = ssm.forecast(ensemble.states, particle_rngs, t0)
+                forecast = Ensemble.equal_weight(states)
                 prior = PriorMixture(centers, ssm.q, weights=prior_weights)
                 sink = None
                 if trace_file is not None:
@@ -389,7 +366,7 @@ def run_twin_experiment(
 
             rmse, spread = score_cycle(truth, ensemble)
             mean, _ = ensemble.mean_and_spread()
-            if setup.is_cholera:
+            if cholera:
                 extras["true_mortality"] = delta_c
                 extras["predicted_mortality"] = float(ssm.observe(mean)[0])
             record = CycleRecord(

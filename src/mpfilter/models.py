@@ -2,13 +2,14 @@
 
 Lorenz-63 and Lorenz-96 are deterministic ODEs advanced with fixed-step
 classical RK4; the cholera SI3R compartment model is an SDE advanced with
-Euler-Maruyama.  All deterministic maps accept batched states (leading
-axes are broadcast), so a whole ensemble advances in one call.
+Euler-Maruyama.  Every model advances a whole ``(N_p, n_x)`` ensemble over
+one assimilation window with ``forecast(states, t0, steps, rngs)``, where
+particle ``j`` draws any model noise from ``rngs[j]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +34,22 @@ def rk4_step(drift, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+class OdeModel:
+    """Deterministic ODE advanced with fixed-step RK4.
+
+    Subclasses define ``drift`` and ``dt``; states batch over leading axes.
+    """
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        return rk4_step(self.drift, np.asarray(x, dtype=float), self.dt)
+
+    def forecast(self, states: np.ndarray, t0: float, steps: int, rngs) -> np.ndarray:
+        """Advance a batch over one window; ``t0`` and ``rngs`` are unused."""
+        return advance_window(self, states, steps)
+
+
 @dataclass(frozen=True)
-class Lorenz63:
+class Lorenz63(OdeModel):
     sigma: float = 10.0
     rho: float = 28.0
     beta: float = 8.0 / 3.0
@@ -45,45 +60,39 @@ class Lorenz63:
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        return np.stack(
-            [
-                self.sigma * (x2 - x1),
-                x1 * (self.rho - x3) - x2,
-                x1 * x2 - self.beta * x3,
-            ],
-            axis=-1,
-        )
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        out = rk4_step(self.drift, np.asarray(x, dtype=float), self.dt)
-        if not np.all(np.isfinite(out)):
-            raise IntegrationBlowupError(self.name, 1)
+        out = np.empty_like(x, dtype=float)
+        out[..., 0] = self.sigma * (x2 - x1)
+        out[..., 1] = x1 * (self.rho - x3) - x2
+        out[..., 2] = x1 * x2 - self.beta * x3
         return out
 
 
 @dataclass(frozen=True)
-class Lorenz96:
+class Lorenz96(OdeModel):
     n_vars: int = 40
     forcing: float = 8.0
     dt: float = 0.001
 
     name = "lorenz96"
 
+    def __post_init__(self):
+        if self.n_vars < 4:
+            raise ContractViolation("Lorenz-96 needs n_vars >= 4")
+
     @property
     def n_x(self) -> int:
         return self.n_vars
 
     def drift(self, x: np.ndarray) -> np.ndarray:
-        # cyclic boundary via roll: x_{i+1}, x_{i-1}, x_{i-2}
-        xp1 = np.roll(x, -1, axis=-1)
-        xm1 = np.roll(x, 1, axis=-1)
-        xm2 = np.roll(x, 2, axis=-1)
-        return (xp1 - xm2) * xm1 - x + self.forcing
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        out = rk4_step(self.drift, np.asarray(x, dtype=float), self.dt)
-        if not np.all(np.isfinite(out)):
-            raise IntegrationBlowupError(self.name, 1)
+        # (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F with cyclic indices: the
+        # interior by slices, then the three entries that wrap around
+        out = np.empty_like(x, dtype=float)
+        out[..., 2:-1] = (x[..., 3:] - x[..., :-3]) * x[..., 1:-2]
+        out[..., 0] = (x[..., 1] - x[..., -2]) * x[..., -1]
+        out[..., 1] = (x[..., 2] - x[..., -1]) * x[..., 0]
+        out[..., -1] = (x[..., 0] - x[..., -3]) * x[..., -2]
+        out -= x
+        out += self.forcing
         return out
 
 
@@ -105,6 +114,8 @@ def free_run(model, x0: np.ndarray, steps: int, sample_every: int = 1) -> np.nda
     out = []
     for i in range(steps):
         x = model.step(x)
+        if not np.all(np.isfinite(x)):
+            raise IntegrationBlowupError(model.name, i + 1)
         if (i + 1) % sample_every == 0:
             out.append(x.copy())
     return np.asarray(out)
@@ -151,7 +162,6 @@ class CholeraParams:
     transmission: PiecewiseSeries
     population: PiecewiseSeries
     dt: float = 1.0 / 20.0
-    aux_noise_fraction: float = 0.10
     s0: float = 0.9
     i0: float = 0.01
     r0: float = 0.09
@@ -173,8 +183,10 @@ class CholeraModel:
 
     Transmission carries multiplicative noise ``eps * I * S / P dW``; the
     auxiliary variable advances as ``dT = dW`` so the noise is additive in
-    the augmented state.  Recovery classes form the chain R1 -> R2 -> R3
-    -> S.  Negative compartments are clamped to zero and counted.
+    the augmented state.  T restarts at zero at the start of every window,
+    so it holds that window's accumulated noise.  Recovery classes form the
+    chain R1 -> R2 -> R3 -> S.  Negative compartments are clamped to zero
+    and counted.
     """
 
     name = "cholera"
@@ -185,24 +197,18 @@ class CholeraModel:
         self.dt = params.dt
         self.clamp_count = 0
 
-    def step(
-        self,
-        x: np.ndarray,
-        t: float,
-        rng: np.random.Generator | None,
-        aux_noise: bool = False,
-    ) -> tuple[np.ndarray, float]:
-        """One Euler-Maruyama step; returns the new state and the
-        cholera-mortality increment ``m_c * I * dt`` of this step."""
+    def _em_step(self, x: np.ndarray, t: float, dw):
+        """One Euler-Maruyama step of one state ``x`` (6,) with increment
+        ``dw``, or of ``N_p`` states stored by compartment ``x`` (6, N_p)
+        with increments ``dw`` (N_p,).  Returns the new state(s) and the
+        cholera-mortality increment(s) ``m_c * I * dt`` of this step."""
         p = self.params
-        x = np.asarray(x, dtype=float)
         s, i, r1, r2, r3, tvar = x
         dt = self.dt
         lam = p.transmission(t)
         pop = p.population(t)
         dpop = (p.population(t + dt) - pop) / dt
 
-        dw = 0.0 if rng is None else float(rng.standard_normal()) * np.sqrt(dt)
         noise_scale = p.eps * i * s / pop
         trans = lam * s * dt + noise_scale * dw
 
@@ -213,39 +219,56 @@ class CholeraModel:
         dr3 = p.r * p.k * r2 * dt - (p.r * p.k + p.m) * r3 * dt
 
         new = np.array([s + ds, i + di, r1 + dr1, r2 + dr2, r3 + dr3, tvar + dw])
-        if aux_noise and rng is not None:
-            # diversity noise, filter-side only: 10% of the variance of the
-            # stochastic transmission increment, on every compartment
-            std = np.sqrt(p.aux_noise_fraction * noise_scale**2 * dt)
-            new[:5] += rng.standard_normal(5) * std
         neg = new[:5] < 0.0
         if np.any(neg):
             self.clamp_count += int(np.count_nonzero(neg))
             new[:5] = np.maximum(new[:5], 0.0)
-        if not np.all(np.isfinite(new)):
-            raise IntegrationBlowupError(self.name, 1)
         return new, p.m_c * i * dt
 
-    def advance(
-        self,
-        x: np.ndarray,
-        t: float,
-        steps: int,
-        rng: np.random.Generator | None,
-        aux_noise: bool = False,
+    def step(
+        self, x: np.ndarray, t: float, rng: np.random.Generator | None
     ) -> tuple[np.ndarray, float]:
-        """Advance ``steps`` EM steps from time ``t``; returns the final
-        state and the accumulated cholera-mortality increment."""
-        if steps < 1:
+        """One Euler-Maruyama step of one state; returns the new state and
+        the cholera-mortality increment of this step."""
+        dw = 0.0 if rng is None else float(rng.standard_normal()) * np.sqrt(self.dt)
+        new, dc = self._em_step(np.asarray(x, dtype=float), t, dw)
+        if not np.all(np.isfinite(new)):
+            raise IntegrationBlowupError(self.name, 1)
+        return new, dc
+
+    def _window(self, x: np.ndarray, t0: float, z: np.ndarray):
+        """Advance ``x`` (laid out as in ``_em_step``) one step per row of
+        the standard normals ``z``, with T restarted at zero; returns the
+        final state(s) and the accumulated mortality increment(s)."""
+        if len(z) < 1:
             raise ContractViolation("steps must be >= 1")
+        x = np.array(x, dtype=float)
+        x[5] = 0.0
         delta_c = 0.0
-        for i in range(steps):
-            try:
-                x, dc = self.step(x, t + i * self.dt, rng, aux_noise=aux_noise)
-            except IntegrationBlowupError:
-                raise IntegrationBlowupError(self.name, i + 1) from None
+        sqrt_dt = np.sqrt(self.dt)
+        for k in range(len(z)):
+            x, dc = self._em_step(x, t0 + k * self.dt, z[k] * sqrt_dt)
+            if not np.all(np.isfinite(x)):
+                raise IntegrationBlowupError(self.name, k + 1)
             delta_c += dc
         return x, delta_c
+
+    def forecast(self, states: np.ndarray, t0: float, steps: int, rngs) -> np.ndarray:
+        """Advance ``(N_p, 6)`` states over one window from time ``t0``;
+        particle ``j`` draws its ``steps`` Wiener increments from
+        ``rngs[j]`` up front."""
+        z = np.stack([rng.standard_normal(steps) for rng in rngs], axis=1)
+        x, _ = self._window(np.transpose(states), t0, z)
+        return np.ascontiguousarray(x.T)
+
+    def advance(
+        self, x: np.ndarray, t: float, steps: int, rng: np.random.Generator | None
+    ) -> tuple[np.ndarray, float]:
+        """Advance one state ``steps`` EM steps from time ``t`` (noise-free
+        when ``rng`` is None); returns the final state and the accumulated
+        cholera-mortality increment."""
+        z = np.zeros(steps) if rng is None else rng.standard_normal(steps)
+        return self._window(x, t, z)
 
 
 def load_cholera_params(path_or_text) -> CholeraParams:
@@ -278,8 +301,7 @@ def load_cholera_params(path_or_text) -> CholeraParams:
     pop_t, pop_v = table("population_table", "0:1.0")
     period = raw.pop("lambda_period", None)
     known = {
-        "gamma", "r", "k", "m", "m_c", "eps", "tau",
-        "aux_noise_fraction", "s0", "i0", "r0",
+        "gamma", "r", "k", "m", "m_c", "eps", "tau", "s0", "i0", "r0",
     }
     unknown = set(raw) - known
     if unknown:

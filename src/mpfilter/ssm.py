@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mpfilter.core import ContractViolation, Covariance
-from mpfilter.models import CholeraModel, advance_window
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -67,19 +66,18 @@ class StateSpaceModel:
     def observe(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.obs_matrix.T
 
-    def advance_state(
-        self,
-        x: np.ndarray,
-        rng: np.random.Generator | None = None,
-        t0: float = 0.0,
-    ) -> np.ndarray:
-        """One assimilation window of the model transition (no additive Q
-        noise).  For the stochastic cholera model this consumes exactly
-        ``cycle_steps`` noise increments from ``rng``."""
-        if isinstance(self.dynamics, CholeraModel):
-            out, _ = self.dynamics.advance(x, t0, self.cycle_steps, rng)
-            return out
-        return advance_window(self.dynamics, x, self.cycle_steps)
+    def forecast(
+        self, states: np.ndarray, rngs: list[np.random.Generator], t0: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance every particle over one window from time ``t0``.
+
+        Returns the model-transition centers and the centers plus one
+        N(0, Q) draw per particle.  Particle ``j`` takes its model noise
+        (cholera) and then its Q draw from ``rngs[j]``.
+        """
+        centers = self.dynamics.forecast(states, t0, self.cycle_steps, rngs)
+        noise = np.stack([self.q.sample(rng) for rng in rngs])
+        return centers, centers + noise
 
 
 @dataclass

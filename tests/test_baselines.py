@@ -11,12 +11,14 @@ from mpfilter.baselines import (
     sir_cycle,
     systematic_resample,
 )
+from mpfilter.config import loads
 from mpfilter.core import ContractViolation, Covariance, Ensemble
-from mpfilter.models import Lorenz63
+from mpfilter.experiment import build_setup
+from mpfilter.models import OdeModel
 from mpfilter.ssm import StateSpaceModel
 
 
-class IdentityDynamics:
+class IdentityDynamics(OdeModel):
     """Trivial model: the state does not move."""
 
     name = "identity"
@@ -166,3 +168,25 @@ class TestEnkfCycle:
         out = enkf_cycle(ssm, Ensemble.equal_weight(states), np.array([0.0]),
                          rngs[:200], rngs[200])
         assert out.states.var() < fc_like.var() * 1.2
+
+
+@pytest.mark.parametrize("filt", ["sir", "enkf"])
+def test_cholera_cycle_starts_window_at_zero_aux(filt):
+    # the auxiliary T restarts at 0 each window, so the T a member carries
+    # into the cycle cannot change its outcome
+    setup = build_setup(loads("model = cholera\nseed = 4\nn_particles = 6\n"))
+    y = np.array([0.002])
+
+    def cycle(t_in):
+        states = setup.ensemble0.states.copy()
+        states[:, 5] = t_in
+        ens = Ensemble.equal_weight(states)
+        rngs = streams(6, seed=21)
+        if filt == "sir":
+            return sir_cycle(setup.ssm, ens, y, SirConfig(), rngs[:6], rngs[6],
+                             t0=1.0)[0]
+        return enkf_cycle(setup.ssm, ens, y, rngs[:6], rngs[6], t0=1.0)
+
+    fresh, carried = cycle(0.0), cycle(-24.0)
+    np.testing.assert_array_equal(fresh.states, carried.states)
+    np.testing.assert_array_equal(fresh.weights, carried.weights)

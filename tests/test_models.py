@@ -63,6 +63,22 @@ class TestLorenz63:
         for j in range(5):
             np.testing.assert_array_equal(out[j], model.step(batch[j]))
 
+    def test_drift_matches_stack_form(self):
+        model = Lorenz63()
+        x = np.random.default_rng(3).standard_normal((7, 3)) * 10.0
+        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        stacked = np.stack([model.sigma * (x2 - x1),
+                            x1 * (model.rho - x3) - x2,
+                            x1 * x2 - model.beta * x3], axis=-1)
+        np.testing.assert_array_equal(model.drift(x), stacked)
+        np.testing.assert_array_equal(model.drift(x[0]), stacked[0])
+
+    def test_blowup_reports_first_nonfinite_step(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationBlowupError) as info:
+                advance_window(Lorenz63(dt=0.05), np.full(3, 1e3), 10)
+        assert info.value.step == 3
+
     def test_long_run_stays_bounded(self):
         traj = free_run(Lorenz63(), np.array([1.0, 1.0, 1.001]), 100_000,
                         sample_every=100)
@@ -84,6 +100,19 @@ class TestLorenz96:
         for i in range(n):
             expect = (x[(i + 1) % n] - x[(i - 2) % n]) * x[(i - 1) % n] - x[i]
             assert d[i] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("n_vars", [4, 5, 40])
+    def test_drift_matches_roll_form(self, n_vars):
+        model = Lorenz96(n_vars=n_vars)
+        x = np.random.default_rng(n_vars).standard_normal((6, n_vars)) * 5.0
+        rolled = ((np.roll(x, -1, axis=-1) - np.roll(x, 2, axis=-1))
+                  * np.roll(x, 1, axis=-1) - x + model.forcing)
+        np.testing.assert_array_equal(model.drift(x), rolled)
+        np.testing.assert_array_equal(model.drift(x[0]), rolled[0])
+
+    def test_too_few_variables_rejected(self):
+        with pytest.raises(ContractViolation):
+            Lorenz96(n_vars=3)
 
     def test_window_from_climatology_bounded(self):
         model = Lorenz96()
@@ -182,13 +211,6 @@ class TestCholeraModel:
         new, _ = model.step(x, 0.0, None)
         assert model.clamp_count >= 1
         assert np.all(new[:5] >= 0.0)
-
-    def test_aux_noise_perturbs_compartments(self):
-        model = make_cholera()
-        x = np.array([0.6, 0.02, 0.1, 0.1, 0.1, 0.0])
-        plain, _ = model.step(x, 0.0, np.random.default_rng(9), aux_noise=False)
-        noisy, _ = model.step(x, 0.0, np.random.default_rng(9), aux_noise=True)
-        assert not np.allclose(plain[:5], noisy[:5])
 
     def test_dt_fixed(self):
         with pytest.raises(ContractViolation):
