@@ -13,6 +13,9 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
+from mpfilter.diagnostics import KDE_MAX_DIM
+from mpfilter.models import CholeraModel, Lorenz63
+
 MODELS = ("lorenz63", "lorenz96", "cholera")
 FILTERS = ("mpf", "sir", "enkf")
 OBS_OPERATORS = {
@@ -228,6 +231,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("dt, r_variance and kernel.alpha must be > 0")
     if not 0.0 < cfg.mpf_neff_threshold <= 1.0:
         raise ConfigError("mpf.neff_threshold is a fraction of N_p in (0, 1]")
+    n_x = {"lorenz63": Lorenz63.n_x, "cholera": CholeraModel.n_x}.get(
+        cfg.model, cfg.lorenz96_n_vars)
+    if cfg.mpf_criterion == "neff" and n_x > KDE_MAX_DIM:
+        raise ConfigError(
+            f"mpf.criterion = neff needs KDE weights, which are limited to "
+            f"{KDE_MAX_DIM} state dimensions (got {n_x}); use grad_ratio or max_iter"
+        )
     parse_q_spec(cfg.q_spec)
 
 

@@ -22,13 +22,6 @@ class CovarianceError(ValueError):
     """Covariance construction rejected (non-SPD, non-finite, wrong shape)."""
 
 
-def check_finite(x: np.ndarray, what: str = "state") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ContractViolation(f"non-finite entries in {what}")
-    return x
-
-
 class Covariance:
     """Symmetric positive definite covariance with cached inverse and factor.
 

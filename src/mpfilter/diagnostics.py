@@ -3,7 +3,8 @@ effective sample size, KL-from-weights, and RMSE/spread scoring.
 
 Two proposal-density routes exist for the weights: kernel density
 estimation over the final particles (low dimensions), and transporting the
-initial mixture density through the mapping Jacobians.  Weights are a
+initial mixture density through the mapping Jacobians, which lives in
+:mod:`mpfilter.mpf` beside the mapping trace it consumes.  Weights are a
 diagnostic by default; the filter ensemble itself stays equal-weight.
 """
 
@@ -15,18 +16,9 @@ import numpy as np
 
 from mpfilter.core import ContractViolation, Ensemble
 from mpfilter.kernels import GaussianKernel
-from mpfilter.ssm import (
-    PriorMixture,
-    StateSpaceModel,
-    _logsumexp,
-    log_likelihood,
-)
+from mpfilter.ssm import PriorMixture, StateSpaceModel, log_likelihood
 
 KDE_MAX_DIM = 10
-
-
-class TransportSingularityError(RuntimeError):
-    """Mapping Jacobian determinant collapsed; the mapping step is too large."""
 
 
 @dataclass
@@ -59,10 +51,12 @@ def kde_log_proposal(
     states: np.ndarray,
     x: np.ndarray | None = None,
     max_dim: int = KDE_MAX_DIM,
+    gram: np.ndarray | None = None,
 ) -> np.ndarray:
     """Log of the (unnormalized) KDE ``(1/N_p) sum_j K(x_j, .)``.
 
-    Evaluated at the particle positions themselves when ``x`` is None.
+    Evaluated at the particle positions themselves when ``x`` is None,
+    from ``gram`` (the kernel Gram matrix of ``states``) when it is given.
     The KDE normalization constant cancels in normalized weights.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -71,18 +65,13 @@ def kde_log_proposal(
             f"KDE proposal limited to {max_dim} dimensions (got {states.shape[1]})"
         )
     if x is None:
-        gram = kernel.gram(states)
+        gram = kernel.gram(states) if gram is None else gram
         return np.log(gram.mean(axis=0))
     x_arr = np.atleast_2d(np.asarray(x, dtype=float))
     diffs = states[:, None, :] - x_arr[None, :, :]
     quad = kernel.bandwidth.quadratic_form(diffs)
     vals = np.log(np.mean(np.exp(-0.5 * quad), axis=0))
     return vals if np.asarray(x).ndim > 1 else float(vals[0])
-
-
-def kde_proposal_density(kernel, states, x, max_dim: int = KDE_MAX_DIM):
-    """Unnormalized KDE value(s) at ``x``."""
-    return np.exp(kde_log_proposal(kernel, states, x, max_dim=max_dim))
 
 
 def importance_report(
@@ -92,15 +81,19 @@ def importance_report(
     y: np.ndarray,
     log_proposal: np.ndarray,
     route: str,
+    log_psi: np.ndarray | None = None,
 ) -> WeightReport:
-    """Normalized importance weights from log proposal densities."""
+    """Normalized importance weights from log proposal densities.
+
+    ``log_psi``, when given, is ``prior.log_psi(states)`` computed already.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     log_proposal = np.asarray(log_proposal, dtype=float)
     if log_proposal.shape != (states.shape[0],):
         raise ContractViolation("one proposal density per particle required")
     log_w = (
         np.atleast_1d(log_likelihood(ssm, states, y))
-        + prior.log_density(states)
+        + prior.log_density(states, log_psi)
         - log_proposal
     )
     log_w = log_w - np.max(log_w)
@@ -111,67 +104,6 @@ def importance_report(
         n_eff=effective_sample_size(w),
         kl_from_weights=kl_from_weights(w),
         route=route,
-    )
-
-
-def importance_weights(
-    ssm: StateSpaceModel,
-    prior: PriorMixture,
-    particles: Ensemble | np.ndarray,
-    y: np.ndarray,
-    proposal_densities: np.ndarray,
-    route: str = "kde",
-) -> WeightReport:
-    """As :func:`importance_report` but from raw (strictly positive)
-    proposal density values."""
-    dens = np.asarray(proposal_densities, dtype=float)
-    if np.any(dens <= 0.0):
-        raise ContractViolation("proposal densities must be strictly positive")
-    states = particles.states if isinstance(particles, Ensemble) else particles
-    return importance_report(ssm, prior, states, y, np.log(dens), route)
-
-
-def jacobian_transport_log_density(
-    kernel: GaussianKernel,
-    positions: list[np.ndarray],
-    logp_grads: list[np.ndarray],
-    epsilons: list[float],
-    prior: PriorMixture,
-    max_dim: int = KDE_MAX_DIM,
-) -> np.ndarray:
-    """Log proposal density at the final particles via Jacobian transport.
-
-    Starts from the mixture density at the initial positions and divides by
-    ``|det(I - eps * Hess KL)|`` at each mapping iteration.  Requires the
-    full iteration trace (sgd mapping, constant step size).
-    """
-    from mpfilter.mpf import kl_hessian_field
-
-    if len(positions) != len(epsilons) + 1 or len(logp_grads) != len(epsilons):
-        raise ContractViolation("trace lengths inconsistent")
-    n_x = np.atleast_2d(positions[0]).shape[1]
-    if n_x > max_dim:
-        raise ContractViolation(
-            f"Jacobian transport limited to {max_dim} dimensions (got {n_x})"
-        )
-    log_q = np.atleast_1d(prior.log_density(positions[0]))
-    eye = np.eye(n_x)
-    for i, eps in enumerate(epsilons):
-        hess = kl_hessian_field(kernel, positions[i], logp_grads[i])
-        dets = np.linalg.det(eye[None, :, :] - eps * hess)
-        if np.any(np.abs(dets) < 1e-12):
-            raise TransportSingularityError(
-                f"transport determinant collapsed at iteration {i}; "
-                "reduce the mapping step size"
-            )
-        log_q = log_q - np.log(np.abs(dets))
-    return log_q
-
-
-def jacobian_transport_density(kernel, positions, logp_grads, epsilons, prior):
-    """Density-scale version of :func:`jacobian_transport_log_density`."""
-    return np.exp(
-        jacobian_transport_log_density(kernel, positions, logp_grads, epsilons, prior)
     )
 
 

@@ -17,12 +17,7 @@ import numpy as np
 from mpfilter.baselines import SirConfig, enkf_cycle, sir_cycle
 from mpfilter.config import ConfigError, ExperimentConfig, dump_config, parse_q_spec
 from mpfilter.core import Covariance, Ensemble
-from mpfilter.diagnostics import (
-    importance_report,
-    kde_log_proposal,
-    score_cycle,
-    weight_variance,
-)
+from mpfilter.diagnostics import score_cycle, weight_variance
 from mpfilter.kernels import GaussianKernel
 from mpfilter.models import (
     CholeraModel,
@@ -337,11 +332,8 @@ def run_twin_experiment(
                 iters = result.iterations
                 g0 = result.grad_norm_trace[0]
                 g1 = result.grad_norm_trace[-1]
-                if setup.model.n_x <= 10:
-                    log_q = kde_log_proposal(setup.kernel, ensemble.states)
-                    report = importance_report(
-                        ssm, prior, ensemble.states, y, log_q, route="kde"
-                    )
+                report = result.report
+                if report is not None:
                     neff = report.n_eff
                     kl_w = report.kl_from_weights
                     w_var = weight_variance(report.weights)

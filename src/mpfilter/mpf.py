@@ -5,10 +5,13 @@ deterministically advanced previous particles), then iterate
 
     g_l   = grad log posterior at particle l
     dKL_j = -(1/N_p) sum_l [ K(x_l, x_j) g_l + grad_source K(x_l, x_j) ]
-    x_j  <- x_j + optimizer_step(-dKL_j direction)
+    x_j  <- x_j + step rule(-dKL_j direction)
 
 with a synchronous (Jacobi-style) batch update, until a convergence
-criterion or the iteration cap fires.
+criterion or the iteration cap fires.  The O(N_p^2) work -- the kernel
+interactions and the mixture log-psi -- is done once per set of particle
+positions and shared by the gradient at those positions, the N_eff rule
+after the update that produced them and the cycle's closing weight report.
 """
 
 from __future__ import annotations
@@ -18,6 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mpfilter.core import ContractViolation, Ensemble
+from mpfilter.diagnostics import (
+    KDE_MAX_DIM,
+    WeightReport,
+    importance_report,
+    kde_log_proposal,
+)
 from mpfilter.kernels import GaussianKernel
 from mpfilter.ssm import PriorMixture, StateSpaceModel, log_posterior_grad
 
@@ -38,6 +47,10 @@ class NonFiniteGradientError(RuntimeError):
         self.cycle = cycle
 
 
+class TransportSingularityError(RuntimeError):
+    """Mapping Jacobian determinant collapsed; the mapping step is too large."""
+
+
 @dataclass
 class MappingConfig:
     """Optimizer and stopping configuration for the mapping iterations."""
@@ -52,7 +65,6 @@ class MappingConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    track_neff: bool = False
     keep_trace: bool = False
 
     def __post_init__(self):
@@ -135,19 +147,6 @@ def make_optimizer(cfg: MappingConfig, shape):
     return cls[cfg.optimizer](cfg, shape)
 
 
-def optimizer_step(opt, cfg: MappingConfig, grads: np.ndarray) -> np.ndarray:
-    """Position deltas for one iteration; rejects non-finite gradients."""
-    grads = np.asarray(grads, dtype=float)
-    bad = ~np.all(np.isfinite(grads), axis=-1)
-    if np.any(bad):
-        raise NonFiniteGradientError(particle=int(np.argmax(bad)), iteration=opt_iter(opt))
-    return opt.step(grads)
-
-
-def opt_iter(opt) -> int:
-    return getattr(opt, "t", 0)
-
-
 def kl_gradient_field(
     kernel: GaussianKernel,
     states: np.ndarray,
@@ -172,10 +171,7 @@ def kl_gradient_field(
 
 
 def kl_hessian_field(
-    kernel: GaussianKernel,
-    states: np.ndarray,
-    logp_grads: np.ndarray,
-    interactions: tuple[np.ndarray, np.ndarray] | None = None,
+    kernel: GaussianKernel, states: np.ndarray, logp_grads: np.ndarray
 ) -> np.ndarray:
     """Hessian of the KL divergence at every particle, shape (N_p, N_x, N_x).
 
@@ -185,7 +181,7 @@ def kl_hessian_field(
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     logp_grads = np.atleast_2d(np.asarray(logp_grads, dtype=float))
-    gram, sdiffs = kernel.interactions(states) if interactions is None else interactions
+    gram, sdiffs = kernel.interactions(states)
     n_p, n_x = states.shape
     a_inv = kernel.bandwidth.inverse()
     # d/dx_j of K(x_l, x_j) = sdiffs[l, j] * G[l, j]
@@ -232,22 +228,64 @@ class MappingTrace:
     epsilons: list[float] = field(default_factory=list)
 
 
+def jacobian_transport_log_density(
+    kernel: GaussianKernel,
+    positions: list[np.ndarray],
+    logp_grads: list[np.ndarray],
+    epsilons: list[float],
+    prior: PriorMixture,
+    max_dim: int = KDE_MAX_DIM,
+) -> np.ndarray:
+    """Log proposal density at the final particles via Jacobian transport.
+
+    Starts from the mixture density at the initial positions and divides by
+    ``|det(I - eps * Hess KL)|`` at each mapping iteration.  Requires the
+    full iteration trace (sgd mapping, constant step size).
+    """
+    if len(positions) != len(epsilons) + 1 or len(logp_grads) != len(epsilons):
+        raise ContractViolation("trace lengths inconsistent")
+    n_x = np.atleast_2d(positions[0]).shape[1]
+    if n_x > max_dim:
+        raise ContractViolation(
+            f"Jacobian transport limited to {max_dim} dimensions (got {n_x})"
+        )
+    log_q = np.atleast_1d(prior.log_density(positions[0]))
+    eye = np.eye(n_x)
+    for i, eps in enumerate(epsilons):
+        hess = kl_hessian_field(kernel, positions[i], logp_grads[i])
+        dets = np.linalg.det(eye[None, :, :] - eps * hess)
+        if np.any(np.abs(dets) < 1e-12):
+            raise TransportSingularityError(
+                f"transport determinant collapsed at iteration {i}; "
+                "reduce the mapping step size"
+            )
+        log_q = log_q - np.log(np.abs(dets))
+    return log_q
+
+
 @dataclass
 class MappingResult:
+    """``report``: KDE-route weights of the final particles, or None above
+    ``KDE_MAX_DIM`` state dimensions."""
+
     ensemble: Ensemble
     iterations: int
     grad_norm_trace: list[float]
     neff_trace: list[float]
+    report: WeightReport | None
     trace: MappingTrace | None = None
 
 
-def _iteration_neff(ssm, prior, kernel, states, y) -> float:
-    # local import: diagnostics imports the Hessian assembly from here
-    from mpfilter.diagnostics import importance_report, kde_log_proposal
+def _pairwise_pass(kernel: GaussianKernel, prior: PriorMixture, states: np.ndarray):
+    """The O(N_p^2) quantities at one set of positions: the kernel
+    ``(gram, sdiffs)`` and the mixture log-psi."""
+    return kernel.interactions(states), prior.log_psi(states)
 
-    log_q = kde_log_proposal(kernel, states)
-    report = importance_report(ssm, prior, states, y, log_q, route="kde")
-    return report.n_eff
+
+def _kde_report(ssm, prior, kernel, states, y, pairs) -> WeightReport:
+    (gram, _), log_psi = pairs
+    log_q = kde_log_proposal(kernel, states, gram=gram)
+    return importance_report(ssm, prior, states, y, log_q, route="kde", log_psi=log_psi)
 
 
 def mapping_cycle(
@@ -267,20 +305,25 @@ def mapping_cycle(
     given, receives ``(iteration, mean_grad_norm, neff_or_nan)`` tuples.
     """
     states = forecast.states.copy()
-    n_p = states.shape[0]
+    n_p, n_x = states.shape
     opt = make_optimizer(cfg, states.shape)
-    want_neff = cfg.track_neff or cfg.criterion == "neff"
+    want_neff = cfg.criterion == "neff"
     grad_norms: list[float] = []
     neffs: list[float] = []
     trace = MappingTrace() if cfg.keep_trace else None
     if trace is not None:
         trace.positions.append(states.copy())
 
+    # pass at the current positions, built when first needed after an update
+    pairs = None
+    report = None
     iterations = 0
     for i in range(cfg.max_iterations):
         try:
-            logp_grads = log_posterior_grad(ssm, prior, states, y)
-            interactions = kernel.interactions(states)
+            if pairs is None:
+                pairs = _pairwise_pass(kernel, prior, states)
+            interactions, log_psi = pairs
+            logp_grads = log_posterior_grad(ssm, prior, states, y, log_psi=log_psi)
             field_vals = kl_gradient_field(kernel, states, logp_grads, interactions)
         except Exception as exc:
             raise type(exc)(
@@ -293,6 +336,7 @@ def mapping_cycle(
 
         deltas = opt.step(field_vals)
         states = states + deltas
+        pairs = None
         iterations = i + 1
         if trace is not None:
             trace.positions.append(states.copy())
@@ -301,7 +345,9 @@ def mapping_cycle(
 
         neff = float("nan")
         if want_neff:
-            neff = _iteration_neff(ssm, prior, kernel, states, y)
+            pairs = _pairwise_pass(kernel, prior, states)
+            report = _kde_report(ssm, prior, kernel, states, y, pairs)
+            neff = report.n_eff
             neffs.append(neff)
         if diag_sink is not None:
             diag_sink(iterations, grad_norms[-1], neff)
@@ -310,10 +356,16 @@ def mapping_cycle(
         ):
             break
 
+    # under the neff rule the last report already scored the final states
+    if report is None and n_x <= KDE_MAX_DIM:
+        report = _kde_report(
+            ssm, prior, kernel, states, y, _pairwise_pass(kernel, prior, states)
+        )
     return MappingResult(
         ensemble=Ensemble.equal_weight(states),
         iterations=iterations,
         grad_norm_trace=grad_norms,
         neff_trace=neffs,
+        report=report,
         trace=trace,
     )

@@ -105,20 +105,23 @@ class PriorMixture:
     def n_components(self) -> int:
         return self.centers.shape[0]
 
-    def _log_psi(self, x: np.ndarray) -> np.ndarray:
-        """Per-component log weights ``log w_m - 1/2 ||x - c_m||^2_Q``."""
+    def log_psi(self, x: np.ndarray) -> np.ndarray:
+        """Per-component log weights ``log w_m - 1/2 ||x - c_m||^2_Q``; the
+        methods below take it precomputed as ``log_psi`` when given."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         diffs = x[:, None, :] - self.centers[None, :, :]
         return self.log_weights[None, :] - 0.5 * self.q.quadratic_form(diffs)
 
-    def log_density(self, x: np.ndarray) -> np.ndarray:
+    def log_density(self, x: np.ndarray, log_psi: np.ndarray | None = None) -> np.ndarray:
         """Unnormalized mixture log density (batched)."""
-        out = _logsumexp(self._log_psi(x), axis=1)
+        out = _logsumexp(self.log_psi(x) if log_psi is None else log_psi, axis=1)
         return out if np.asarray(x).ndim > 1 else float(out[0])
 
-    def responsibilities(self, x: np.ndarray) -> np.ndarray:
+    def responsibilities(
+        self, x: np.ndarray, log_psi: np.ndarray | None = None
+    ) -> np.ndarray:
         """Softmax responsibilities of each component at ``x`` (batched)."""
-        lp = self._log_psi(x)
+        lp = self.log_psi(x) if log_psi is None else log_psi
         lp = lp - np.max(lp, axis=1, keepdims=True)
         p = np.exp(lp)
         norm = p.sum(axis=1, keepdims=True)
@@ -149,16 +152,18 @@ def log_posterior_unnormalized(
 
 
 def log_posterior_grad(
-    ssm: StateSpaceModel, prior: PriorMixture, x: np.ndarray, y: np.ndarray
+    ssm: StateSpaceModel, prior: PriorMixture, x: np.ndarray, y: np.ndarray,
+    log_psi: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the log sequential posterior (batched over particles).
 
     ``H^T R^{-1} (y - H x) - Q^{-1} (x - sum_m resp_m c_m)`` where the
-    responsibilities are the softmax of the mixture components at ``x``.
+    responsibilities are the softmax of the mixture components at ``x``
+    (from ``log_psi = prior.log_psi(x)`` when it is given).
     """
     x_in = np.asarray(x, dtype=float)
     x_arr = np.atleast_2d(x_in)
-    resp = prior.responsibilities(x_arr)
+    resp = prior.responsibilities(x_arr, log_psi)
     centers_bar = resp @ prior.centers
     innov = np.asarray(y, dtype=float) - ssm.observe(x_arr)
     grad = ssm.r.solve(innov) @ ssm.obs_matrix - ssm.q.solve(x_arr - centers_bar)

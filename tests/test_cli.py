@@ -162,6 +162,17 @@ class TestRunTwinExperiment:
         assert header == "cycle,iteration,mean_grad_norm,neff"
         assert len(rows) >= 4  # at least one mapping iteration per cycle
 
+    def test_carry_weights(self):
+        # the mapping's report weights become the next cycle's mixture
+        # weights: cycle 0 starts from equal weights either way
+        cfg = loads(SMALL.replace("cycles = 4", "cycles = 2"))
+        off = [r.rmse for r in run_twin_experiment(cfg).records]
+        cfg.mpf_carry_weights = True
+        on = [r.rmse for r in run_twin_experiment(cfg).records]
+        assert on == [r.rmse for r in run_twin_experiment(cfg).records]
+        assert on[0] == off[0]
+        assert on[1] != off[1]
+
     def test_neff_column_bounded(self):
         cfg = loads(SMALL)
         res = run_twin_experiment(cfg)

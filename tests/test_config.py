@@ -2,6 +2,7 @@
 
 import pytest
 
+from mpfilter.cli import main
 from mpfilter.config import (
     ConfigError,
     dump_config,
@@ -88,6 +89,17 @@ class TestLoads:
             loads(MINIMAL + "mpf.neff_threshold = 1.5\n")
         with pytest.raises(ConfigError):
             loads(MINIMAL + "kernel.alpha = 0\n")
+
+    def test_neff_criterion_limited_to_kde_dimensions(self, tmp_path, capsys):
+        l96 = "model = lorenz96\nseed = 1\nmpf.criterion = neff\n"
+        with pytest.raises(ConfigError, match="limited to 10 state dimensions"):
+            loads(l96)
+        assert loads(l96 + "lorenz96.n_vars = 8\n").mpf_criterion == "neff"
+        assert loads(MINIMAL + "mpf.criterion = neff\n").mpf_criterion == "neff"
+        path = tmp_path / "l96-neff.cfg"
+        path.write_text(l96)
+        assert main(["check", str(path)]) == 1
+        assert "limited to 10 state dimensions (got 40)" in capsys.readouterr().err
 
     def test_bool_values(self):
         assert loads(MINIMAL + "trace = yes\n").trace is True

@@ -10,7 +10,6 @@ from mpfilter.core import (
     Covariance,
     CovarianceError,
     Ensemble,
-    check_finite,
 )
 
 
@@ -155,9 +154,3 @@ class TestEnsemble:
     def test_default_weights_sum_to_one(self, n):
         ens = Ensemble.equal_weight(np.zeros((n, 2)))
         assert ens.weights.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_check_finite():
-    with pytest.raises(ContractViolation):
-        check_finite(np.array([1.0, np.nan]))
-    np.testing.assert_array_equal(check_finite([1.0, 2.0]), [1.0, 2.0])

@@ -1,10 +1,12 @@
-"""Mapping engine tests: KL gradient field, optimizers, convergence logic and
-full mapping cycles on closed-form Gaussian targets."""
+"""Mapping engine tests: KL gradient field, optimizers, convergence logic,
+full mapping cycles on closed-form Gaussian targets, and the shared pairwise
+pass against the unfused per-consumer form."""
 
 import numpy as np
 import pytest
 
 from mpfilter.core import ContractViolation, Covariance, Ensemble
+from mpfilter.diagnostics import KDE_MAX_DIM, importance_report, kde_log_proposal
 from mpfilter.kernels import GaussianKernel
 from mpfilter.models import Lorenz63
 from mpfilter.mpf import (
@@ -18,7 +20,6 @@ from mpfilter.mpf import (
     kl_hessian_field,
     make_optimizer,
     mapping_cycle,
-    optimizer_step,
 )
 from mpfilter.ssm import PriorMixture, StateSpaceModel, log_posterior_grad
 
@@ -162,11 +163,23 @@ class TestOptimizers:
         assert steps[-1] < steps[10] * 0.01
 
     def test_nonfinite_gradient_rejected(self):
-        cfg = MappingConfig(optimizer="sgd")
-        opt = make_optimizer(cfg, (2, 1))
-        with pytest.raises(NonFiniteGradientError) as err:
-            optimizer_step(opt, cfg, np.array([[1.0], [np.nan]]))
+        # observation precision ~1e308/40: particles 1 and 2 sit 40 from y,
+        # so their posterior gradients are ~1e308 and their kernel-weighted
+        # sum overflows; particle 0 sits on y, out of the kernel's reach
+        ssm = StateSpaceModel(dynamics=Lorenz63(), obs_matrix=np.eye(1),
+                              q=Covariance.diagonal([1.0]),
+                              r=Covariance.diagonal([40.0 / 1e308]),
+                              cycle_steps=1)
+        states = np.array([[0.0], [40.0], [40.1]])
+        prior = PriorMixture(states.copy(), ssm.q)
+        cfg = MappingConfig(optimizer="sgd", criterion="max_iter")
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteGradientError) as err:
+            mapping_cycle(ssm, prior, Ensemble.equal_weight(states),
+                          np.array([0.0]), kernel_1d(), cfg, cycle=4)
         assert err.value.particle == 1
+        assert err.value.iteration == 0
+        assert err.value.cycle == 4
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ContractViolation):
@@ -301,3 +314,109 @@ class TestMappingCycle:
         assert len(result.trace.positions) == 7
         assert len(result.trace.epsilons) == 6
         assert all(e == 0.05 for e in result.trace.epsilons)
+
+
+def lorenz_like_cycle(n_x, n_p=20, seed=11):
+    """A mapping problem shaped like a fully observed twin-experiment cycle."""
+    rng = np.random.default_rng(seed)
+    q = Covariance.diagonal(rng.uniform(0.2, 0.6, size=n_x))
+    ssm = StateSpaceModel(dynamics=Lorenz63(), obs_matrix=np.eye(n_x), q=q,
+                          r=Covariance.isotropic(0.5, n_x), cycle_steps=1)
+    truth = rng.standard_normal(n_x)
+    centers = truth + rng.standard_normal((n_p, n_x))
+    prior = PriorMixture(centers, q)
+    forecast = Ensemble.equal_weight(centers + q.sample(rng, size=n_p))
+    y = truth + rng.standard_normal(n_x) * np.sqrt(0.5)
+    return ssm, prior, forecast, y, GaussianKernel.from_model_error(q, 1.0)
+
+
+def unfused_mapping(ssm, prior, forecast, y, kernel, cfg):
+    """The mapping loop with each consumer building its own pairwise pass:
+    the gradient from ``log_posterior_grad`` and ``interactions``, then the
+    neff rule and the closing report from ``kde_log_proposal`` and
+    ``importance_report``."""
+    states = forecast.states.copy()
+    n_p, n_x = states.shape
+    opt = make_optimizer(cfg, states.shape)
+    grad_norms, neffs = [], []
+    for _ in range(cfg.max_iterations):
+        logp_grads = log_posterior_grad(ssm, prior, states, y)
+        interactions = kernel.interactions(states)
+        field = kl_gradient_field(kernel, states, logp_grads, interactions)
+        grad_norms.append(float(np.mean(np.linalg.norm(field, axis=1))))
+        states = states + opt.step(field)
+        if cfg.criterion == "neff":
+            log_q = kde_log_proposal(kernel, states)
+            neffs.append(importance_report(ssm, prior, states, y, log_q,
+                                           route="kde").n_eff)
+        if cfg.criterion != "max_iter" and check_convergence(
+                cfg, grad_norms, neffs or None, n_p):
+            break
+    report = None
+    if n_x <= KDE_MAX_DIM:
+        log_q = kde_log_proposal(kernel, states)
+        report = importance_report(ssm, prior, states, y, log_q, route="kde")
+    return states, grad_norms, neffs, report
+
+
+class TestSharedPairwisePass:
+    @pytest.mark.parametrize("optimizer", ["sgd", "adadelta", "adam"])
+    @pytest.mark.parametrize("criterion", ["neff", "grad_ratio", "max_iter"])
+    def test_matches_unfused_mapping(self, criterion, optimizer):
+        ssm, prior, forecast, y, kernel = lorenz_like_cycle(3)
+        # the neff rule fires for every optimizer, grad_ratio for adadelta
+        cfg = MappingConfig(optimizer=optimizer, criterion=criterion,
+                            learning_rate=0.2, neff_threshold=14.0,
+                            max_iterations=40)
+        result = mapping_cycle(ssm, prior, forecast, y, kernel, cfg)
+        states, grad_norms, neffs, report = unfused_mapping(
+            ssm, prior, forecast, y, kernel, cfg)
+        assert result.iterations == len(grad_norms) >= 2
+        np.testing.assert_array_equal(result.ensemble.states, states)
+        np.testing.assert_array_equal(result.grad_norm_trace, grad_norms)
+        np.testing.assert_array_equal(result.neff_trace, neffs)
+        np.testing.assert_array_equal(result.report.weights, report.weights)
+        assert result.report.n_eff == report.n_eff
+        assert result.report.kl_from_weights == report.kl_from_weights
+
+    def test_no_report_above_kde_limit(self):
+        ssm, prior, forecast, y, kernel = lorenz_like_cycle(KDE_MAX_DIM + 2)
+        cfg = MappingConfig(criterion="grad_ratio", max_iterations=10)
+        result = mapping_cycle(ssm, prior, forecast, y, kernel, cfg)
+        states, grad_norms, _, report = unfused_mapping(
+            ssm, prior, forecast, y, kernel, cfg)
+        np.testing.assert_array_equal(result.ensemble.states, states)
+        np.testing.assert_array_equal(result.grad_norm_trace, grad_norms)
+        assert result.report is None and report is None
+
+    @pytest.mark.parametrize("criterion,n_x,closing_passes", [
+        ("neff", 3, 1),
+        ("grad_ratio", 3, 1),
+        ("max_iter", 3, 1),
+        ("grad_ratio", KDE_MAX_DIM + 2, 0),
+        ("max_iter", KDE_MAX_DIM + 2, 0),
+    ])
+    def test_one_pass_per_set_of_positions(self, monkeypatch, criterion, n_x,
+                                           closing_passes):
+        # each iteration's gradient needs the pass at its positions; the
+        # final positions need one more only for the report, and under the
+        # neff rule that one is the last iteration's
+        calls = {"interactions": 0, "log_psi": 0}
+
+        def counted(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, x):
+                calls[name] += 1
+                return original(self, x)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(GaussianKernel, "interactions")
+        counted(PriorMixture, "log_psi")
+        ssm, prior, forecast, y, kernel = lorenz_like_cycle(n_x)
+        cfg = MappingConfig(criterion=criterion, learning_rate=0.2,
+                            neff_threshold=14.0, max_iterations=40)
+        result = mapping_cycle(ssm, prior, forecast, y, kernel, cfg)
+        assert result.iterations >= 2
+        expected = result.iterations + closing_passes
+        assert calls == {"interactions": expected, "log_psi": expected}
