@@ -77,10 +77,6 @@ class Covariance:
         return cls.diagonal(np.full(dim, float(variance)))
 
     @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
     def dim(self) -> int:
         return self._dim
 
@@ -93,11 +89,6 @@ class Covariance:
         if self._kind == "diagonal":
             return np.diag(self._inv_diag)
         return self._inv.copy()
-
-    def diagonal_entries(self) -> np.ndarray:
-        if self._kind == "diagonal":
-            return self._diag.copy()
-        return np.diag(self._dense).copy()
 
     def scaled(self, factor: float) -> "Covariance":
         """Return ``factor * self`` as a new covariance (factor > 0)."""
@@ -125,9 +116,7 @@ class Covariance:
     def quadratic_form(self, v: np.ndarray):
         """Return ``v^T Sigma^{-1} v`` (batched over leading axes)."""
         v = self._check_dim(v)
-        if self._kind == "diagonal":
-            return np.sum(v * v * self._inv_diag, axis=-1)
-        return np.einsum("...i,...i->...", v, v @ self._inv)
+        return np.einsum("...i,...i->...", v, self.solve(v))
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw ``N(0, Sigma)`` samples; shape ``(dim,)`` or ``(size, dim)``."""
@@ -177,9 +166,6 @@ class Ensemble:
     @property
     def n_x(self) -> int:
         return self.states.shape[1]
-
-    def is_equal_weight(self) -> bool:
-        return bool(np.all(self.weights == 1.0 / self.n_particles))
 
     def mean_and_spread(self) -> tuple[np.ndarray, float]:
         """Weighted mean and spread.

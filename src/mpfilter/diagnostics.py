@@ -1,10 +1,9 @@
 """Filter diagnostics: importance weights against the sequential posterior,
 effective sample size, KL-from-weights, and RMSE/spread scoring.
 
-Two proposal-density routes exist for the weights: kernel density
-estimation over the final particles (low dimensions), and transporting the
-initial mixture density through the mapping Jacobians, which lives in
-:mod:`mpfilter.mpf` beside the mapping trace it consumes.  Weights are a
+The proposal density for the weights is a kernel density estimate over the
+particles, evaluated at the particles themselves from the kernel Gram
+matrix, and only up to ``KDE_MAX_DIM`` state dimensions.  Weights are a
 diagnostic by default; the filter ensemble itself stays equal-weight.
 """
 
@@ -49,29 +48,22 @@ def kl_from_weights(weights: np.ndarray) -> float:
 def kde_log_proposal(
     kernel: GaussianKernel,
     states: np.ndarray,
-    x: np.ndarray | None = None,
     max_dim: int = KDE_MAX_DIM,
     gram: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Log of the (unnormalized) KDE ``(1/N_p) sum_j K(x_j, .)``.
+    """Log of the (unnormalized) KDE ``(1/N_p) sum_l K(x_l, .)`` at each
+    particle ``x_j``.
 
-    Evaluated at the particle positions themselves when ``x`` is None,
-    from ``gram`` (the kernel Gram matrix of ``states``) when it is given.
-    The KDE normalization constant cancels in normalized weights.
+    ``gram``, when given, is ``kernel.interactions(states)`` computed
+    already.  The KDE normalization constant cancels in normalized weights.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.shape[1] > max_dim:
         raise ContractViolation(
             f"KDE proposal limited to {max_dim} dimensions (got {states.shape[1]})"
         )
-    if x is None:
-        gram = kernel.gram(states) if gram is None else gram
-        return np.log(gram.mean(axis=0))
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    diffs = states[:, None, :] - x_arr[None, :, :]
-    quad = kernel.bandwidth.quadratic_form(diffs)
-    vals = np.log(np.mean(np.exp(-0.5 * quad), axis=0))
-    return vals if np.asarray(x).ndim > 1 else float(vals[0])
+    gram = kernel.interactions(states) if gram is None else gram
+    return np.log(gram.mean(axis=0))
 
 
 def importance_report(

@@ -1,9 +1,13 @@
 """Gaussian RBF kernel on state space with bandwidth tied to the model error.
 
 The bandwidth matrix is ``A = alpha * Q`` where ``Q`` is the model error
-covariance.  Derivatives follow the source-argument convention: gradients
-are taken with respect to the *first* argument (the source particle), so
-that the kernel term of the KL gradient acts as a repulsive force.
+covariance.  The filter needs one pairwise product of the kernel, the Gram
+matrix (:meth:`GaussianKernel.interactions`); the KL gradient forms both
+its attraction and its repulsion from it.  The pointwise value and
+derivatives are the closed forms the tests check that against.
+Derivatives follow the source-argument convention: gradients are taken
+with respect to the *first* argument (the source particle), so that the
+kernel term of the KL gradient acts as a repulsive force.
 """
 
 from __future__ import annotations
@@ -56,18 +60,12 @@ class GaussianKernel:
         sd = self.bandwidth.solve(d)
         return (self.bandwidth.inverse() - np.outer(sd, sd)) * k
 
-    def gram(self, states: np.ndarray) -> np.ndarray:
-        """Gram matrix ``G[l, j] = K(x_l, x_j)`` over a particle set."""
-        gram, _ = self.interactions(np.atleast_2d(states))
-        return gram
+    def interactions(self, states: np.ndarray) -> np.ndarray:
+        """The pairwise pass over a particle set: the Gram matrix
+        ``G[l, j] = K(x_l, x_j)``.
 
-    def interactions(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Shared pairwise quantities for one mapping iteration.
-
-        Returns ``(gram, sdiffs)`` where ``gram[l, j] = K(x_l, x_j)`` and
-        ``sdiffs[l, j] = A^{-1} (x_l - x_j)``.  Both the KL gradient, the
-        transport Hessian and the KDE reuse these, which is where the
-        O(N_p^2) cost of the filter lives.
+        The KL gradient (attraction and repulsion both) and the KDE reuse
+        it, which is where the O(N_p^2) cost of the filter lives.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
         if states.shape[1] != self.dim:
@@ -75,6 +73,4 @@ class GaussianKernel:
                 f"state dimension {states.shape[1]} does not match kernel dim {self.dim}"
             )
         diffs = states[:, None, :] - states[None, :, :]
-        sdiffs = self.bandwidth.solve(diffs)
-        gram = np.exp(-0.5 * np.einsum("ljk,ljk->lj", diffs, sdiffs))
-        return gram, sdiffs
+        return np.exp(-0.5 * self.bandwidth.quadratic_form(diffs))

@@ -8,15 +8,18 @@ deterministically advanced previous particles), then iterate
     x_j  <- x_j + step rule(-dKL_j direction)
 
 with a synchronous (Jacobi-style) batch update, until a convergence
-criterion or the iteration cap fires.  The O(N_p^2) work -- the kernel
-interactions and the mixture log-psi -- is done once per set of particle
-positions and shared by the gradient at those positions, the N_eff rule
-after the update that produced them and the cycle's closing weight report.
+criterion or the iteration cap fires.  For the Gaussian kernel both sums
+are matrix products with the Gram matrix G (the matrix form of SVGD):
+attraction ``G^T g`` and repulsion ``A^{-1} (G^T X - colsum(G) * X)``.
+The O(N_p^2) work -- the Gram matrix and the mixture log-psi -- is done
+once per set of particle positions and shared by the gradient at those
+positions, the N_eff rule after the update that produced them and the
+cycle's closing weight report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +50,6 @@ class NonFiniteGradientError(RuntimeError):
         self.cycle = cycle
 
 
-class TransportSingularityError(RuntimeError):
-    """Mapping Jacobian determinant collapsed; the mapping step is too large."""
-
-
 @dataclass
 class MappingConfig:
     """Optimizer and stopping configuration for the mapping iterations."""
@@ -65,7 +64,6 @@ class MappingConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    keep_trace: bool = False
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -151,46 +149,27 @@ def kl_gradient_field(
     kernel: GaussianKernel,
     states: np.ndarray,
     logp_grads: np.ndarray,
-    interactions: tuple[np.ndarray, np.ndarray] | None = None,
+    gram: np.ndarray | None = None,
 ) -> np.ndarray:
     """Monte-Carlo KL divergence gradient at every particle.
 
     ``dKL(x_j) = -(1/N_p) sum_l [K(x_l, x_j) g_l - A^{-1}(x_l - x_j) K(x_l, x_j)]``
-    The second term is the repulsion; with a single particle the field
-    collapses to ``-g`` (the 3D-Var limit).
+    ``gram``, when given, is ``kernel.interactions(states)`` computed
+    already.  The second term is the repulsion; with a single particle the
+    field collapses to ``-g`` (the 3D-Var limit).
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     logp_grads = np.atleast_2d(np.asarray(logp_grads, dtype=float))
     if logp_grads.shape != states.shape:
         raise ContractViolation("logp_grads shape must match particle states")
-    gram, sdiffs = kernel.interactions(states) if interactions is None else interactions
+    gram = kernel.interactions(states) if gram is None else gram
     n_p = states.shape[0]
     attract = gram.T @ logp_grads  # sum_l G[l, j] g_l
-    repulse = -np.einsum("lj,ljk->jk", gram, sdiffs)  # sum_l grad_source(x_l, x_j)
-    return -(attract + repulse) / n_p
-
-
-def kl_hessian_field(
-    kernel: GaussianKernel, states: np.ndarray, logp_grads: np.ndarray
-) -> np.ndarray:
-    """Hessian of the KL divergence at every particle, shape (N_p, N_x, N_x).
-
-    Jacobian of :func:`kl_gradient_field` with respect to the evaluation
-    particle (the dependence of its own log-posterior gradient on its
-    position is not part of the transport Jacobian).
-    """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    logp_grads = np.atleast_2d(np.asarray(logp_grads, dtype=float))
-    gram, sdiffs = kernel.interactions(states)
-    n_p, n_x = states.shape
-    a_inv = kernel.bandwidth.inverse()
-    # d/dx_j of K(x_l, x_j) = sdiffs[l, j] * G[l, j]
-    grad_k = sdiffs * gram[:, :, None]
-    outer = np.einsum("lk,ljm->jkm", logp_grads, grad_k)  # g_l (dK/dx_j)^T
-    cross = np.einsum("lj,km->jkm", gram, a_inv) - np.einsum(
-        "ljk,ljm,lj->jkm", sdiffs, sdiffs, gram
+    # sum_l grad_source(x_l, x_j) = -A^{-1} sum_l G[l, j] (x_l - x_j)
+    repulse = -kernel.bandwidth.solve(
+        gram.T @ states - gram.sum(axis=0)[:, None] * states
     )
-    return -(outer + cross) / n_p
+    return -(attract + repulse) / n_p
 
 
 def check_convergence(
@@ -220,50 +199,6 @@ def check_convergence(
 
 
 @dataclass
-class MappingTrace:
-    """Per-iteration record kept for the Jacobian density-transport route."""
-
-    positions: list[np.ndarray] = field(default_factory=list)
-    logp_grads: list[np.ndarray] = field(default_factory=list)
-    epsilons: list[float] = field(default_factory=list)
-
-
-def jacobian_transport_log_density(
-    kernel: GaussianKernel,
-    positions: list[np.ndarray],
-    logp_grads: list[np.ndarray],
-    epsilons: list[float],
-    prior: PriorMixture,
-    max_dim: int = KDE_MAX_DIM,
-) -> np.ndarray:
-    """Log proposal density at the final particles via Jacobian transport.
-
-    Starts from the mixture density at the initial positions and divides by
-    ``|det(I - eps * Hess KL)|`` at each mapping iteration.  Requires the
-    full iteration trace (sgd mapping, constant step size).
-    """
-    if len(positions) != len(epsilons) + 1 or len(logp_grads) != len(epsilons):
-        raise ContractViolation("trace lengths inconsistent")
-    n_x = np.atleast_2d(positions[0]).shape[1]
-    if n_x > max_dim:
-        raise ContractViolation(
-            f"Jacobian transport limited to {max_dim} dimensions (got {n_x})"
-        )
-    log_q = np.atleast_1d(prior.log_density(positions[0]))
-    eye = np.eye(n_x)
-    for i, eps in enumerate(epsilons):
-        hess = kl_hessian_field(kernel, positions[i], logp_grads[i])
-        dets = np.linalg.det(eye[None, :, :] - eps * hess)
-        if np.any(np.abs(dets) < 1e-12):
-            raise TransportSingularityError(
-                f"transport determinant collapsed at iteration {i}; "
-                "reduce the mapping step size"
-            )
-        log_q = log_q - np.log(np.abs(dets))
-    return log_q
-
-
-@dataclass
 class MappingResult:
     """``report``: KDE-route weights of the final particles, or None above
     ``KDE_MAX_DIM`` state dimensions."""
@@ -273,17 +208,16 @@ class MappingResult:
     grad_norm_trace: list[float]
     neff_trace: list[float]
     report: WeightReport | None
-    trace: MappingTrace | None = None
 
 
 def _pairwise_pass(kernel: GaussianKernel, prior: PriorMixture, states: np.ndarray):
-    """The O(N_p^2) quantities at one set of positions: the kernel
-    ``(gram, sdiffs)`` and the mixture log-psi."""
+    """The O(N_p^2) quantities at one set of positions: the kernel Gram
+    matrix and the mixture log-psi."""
     return kernel.interactions(states), prior.log_psi(states)
 
 
 def _kde_report(ssm, prior, kernel, states, y, pairs) -> WeightReport:
-    (gram, _), log_psi = pairs
+    gram, log_psi = pairs
     log_q = kde_log_proposal(kernel, states, gram=gram)
     return importance_report(ssm, prior, states, y, log_q, route="kde", log_psi=log_psi)
 
@@ -310,9 +244,6 @@ def mapping_cycle(
     want_neff = cfg.criterion == "neff"
     grad_norms: list[float] = []
     neffs: list[float] = []
-    trace = MappingTrace() if cfg.keep_trace else None
-    if trace is not None:
-        trace.positions.append(states.copy())
 
     # pass at the current positions, built when first needed after an update
     pairs = None
@@ -322,9 +253,9 @@ def mapping_cycle(
         try:
             if pairs is None:
                 pairs = _pairwise_pass(kernel, prior, states)
-            interactions, log_psi = pairs
+            gram, log_psi = pairs
             logp_grads = log_posterior_grad(ssm, prior, states, y, log_psi=log_psi)
-            field_vals = kl_gradient_field(kernel, states, logp_grads, interactions)
+            field_vals = kl_gradient_field(kernel, states, logp_grads, gram)
         except Exception as exc:
             raise type(exc)(
                 f"mapping aborted at cycle {cycle}, iteration {i}: {exc}"
@@ -338,10 +269,6 @@ def mapping_cycle(
         states = states + deltas
         pairs = None
         iterations = i + 1
-        if trace is not None:
-            trace.positions.append(states.copy())
-            trace.logp_grads.append(logp_grads.copy())
-            trace.epsilons.append(cfg.learning_rate if cfg.optimizer == "sgd" else float("nan"))
 
         neff = float("nan")
         if want_neff:
@@ -367,5 +294,4 @@ def mapping_cycle(
         grad_norm_trace=grad_norms,
         neff_trace=neffs,
         report=report,
-        trace=trace,
     )

@@ -59,10 +59,6 @@ class StateSpaceModel:
     def n_x(self) -> int:
         return self.obs_matrix.shape[1]
 
-    @property
-    def n_y(self) -> int:
-        return self.obs_matrix.shape[0]
-
     def observe(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.obs_matrix.T
 
@@ -100,10 +96,6 @@ class PriorMixture:
             self.weights = w / w.sum()
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(self.weights)
-
-    @property
-    def n_components(self) -> int:
-        return self.centers.shape[0]
 
     def log_psi(self, x: np.ndarray) -> np.ndarray:
         """Per-component log weights ``log w_m - 1/2 ||x - c_m||^2_Q``; the

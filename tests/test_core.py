@@ -42,7 +42,7 @@ class TestCovarianceConstruction:
 
     def test_scaled(self):
         q = Covariance.diagonal([2.0, 4.0])
-        np.testing.assert_allclose(q.scaled(0.5).diagonal_entries(), [1.0, 2.0])
+        np.testing.assert_allclose(q.scaled(0.5).matrix(), np.diag([1.0, 2.0]))
         with pytest.raises(CovarianceError):
             q.scaled(0.0)
 
@@ -79,6 +79,17 @@ class TestQuadraticForm:
         cov = Covariance.diagonal([2.0, 2.0])
         v = np.array([[1.0, 0.0], [0.0, 2.0]])
         np.testing.assert_allclose(cov.quadratic_form(v), [0.5, 2.0])
+
+    def test_diagonal_matches_sum_form(self):
+        # the diagonal form was np.sum(v * v * inv, -1); the contraction of
+        # v with v * inv multiplies in another order and sums in another
+        rng = np.random.default_rng(2)
+        for n_x in (1, 3, 6, 40):
+            variances = rng.uniform(0.2, 2.0, size=n_x)
+            v = 3.0 * rng.standard_normal((50, n_x))
+            old = np.sum(v * v * (1.0 / variances), axis=-1)
+            new = Covariance.diagonal(variances).quadratic_form(v)
+            np.testing.assert_allclose(new, old, rtol=1e-15, atol=0.0)
 
 
 class TestSolve:
@@ -122,7 +133,6 @@ class TestEnsemble:
     def test_equal_weight_is_exact(self):
         ens = Ensemble.equal_weight(np.zeros((3, 2)))
         assert np.all(ens.weights == 1.0 / 3.0)
-        assert ens.is_equal_weight()
 
     def test_weight_validation(self):
         states = np.zeros((2, 1))

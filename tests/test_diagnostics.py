@@ -1,5 +1,4 @@
-"""Importance-weight diagnostics: KDE proposal, weight identities, Jacobian
-density transport, scoring."""
+"""Importance-weight diagnostics: KDE proposal, weight identities, scoring."""
 
 import numpy as np
 import pytest
@@ -15,13 +14,6 @@ from mpfilter.diagnostics import (
 )
 from mpfilter.kernels import GaussianKernel
 from mpfilter.models import Lorenz63
-from mpfilter.mpf import (
-    MappingConfig,
-    TransportSingularityError,
-    jacobian_transport_log_density,
-    kl_hessian_field,
-    mapping_cycle,
-)
 from mpfilter.ssm import PriorMixture, StateSpaceModel
 
 
@@ -69,19 +61,21 @@ class TestWeightIdentities:
 class TestKdeProposal:
     def test_single_particle_at_itself(self):
         k = kernel_1d()
-        assert kde_log_proposal(k, np.array([[0.0]]), np.array([0.0])) == 0.0
+        assert kde_log_proposal(k, np.array([[0.0]])).tolist() == [0.0]
 
     def test_two_particle_hand_value(self):
         k = kernel_1d()
-        val = kde_log_proposal(k, np.array([[0.0], [1.0]]), np.array([0.0]))
-        assert val == pytest.approx(np.log(0.5 * (1.0 + np.exp(-0.5))), rel=1e-12)
+        log_q = kde_log_proposal(k, np.array([[0.0], [1.0]]))
+        expected = np.log(0.5 * (1.0 + np.exp(-0.5)))
+        np.testing.assert_allclose(log_q, [expected, expected], rtol=1e-12)
 
     def test_midpoint_symmetry(self):
+        # the KDE of a cloud symmetric about 0 is equal at -0.5 and +0.5
         k = kernel_1d()
-        states = np.array([[-1.0], [1.0]])
-        left = kde_log_proposal(k, states, np.array([-0.5]))
-        right = kde_log_proposal(k, states, np.array([0.5]))
-        assert left == pytest.approx(right, rel=1e-14)
+        states = np.array([[-1.0], [-0.5], [0.5], [1.0]])
+        log_q = kde_log_proposal(k, states)
+        assert log_q[1] == pytest.approx(log_q[2], rel=1e-14)
+        assert log_q[0] == pytest.approx(log_q[3], rel=1e-14)
 
     def test_self_evaluation_matches_explicit(self):
         rng = np.random.default_rng(2)
@@ -131,67 +125,6 @@ class TestImportanceWeights:
         with pytest.raises(ContractViolation):
             importance_report(ssm, prior, np.zeros((2, 1)), np.array([0.0]),
                               np.zeros(3), "kde")
-
-
-class TestJacobianTransport:
-    def test_zero_iterations_returns_prior(self):
-        prior = PriorMixture(np.zeros((3, 1)), Covariance.diagonal([1.0]))
-        states = np.array([[0.0], [0.5], [1.0]])
-        out = jacobian_transport_log_density(kernel_1d(), [states], [], [], prior)
-        np.testing.assert_allclose(out, prior.log_density(states), atol=1e-14)
-
-    def test_zero_epsilon_identity(self):
-        rng = np.random.default_rng(5)
-        prior = PriorMixture(np.zeros((4, 1)), Covariance.diagonal([1.0]))
-        states = rng.standard_normal((4, 1))
-        grads = rng.standard_normal((4, 1))
-        out = jacobian_transport_log_density(
-            kernel_1d(), [states, states], [grads], [0.0], prior)
-        np.testing.assert_allclose(out, prior.log_density(states), atol=1e-14)
-
-    def test_trace_length_validation(self):
-        prior = PriorMixture(np.zeros((2, 1)), Covariance.diagonal([1.0]))
-        with pytest.raises(ContractViolation):
-            jacobian_transport_log_density(
-                kernel_1d(), [np.zeros((2, 1))], [np.zeros((2, 1))], [0.1], prior)
-
-    def test_cross_route_rank_agreement(self):
-        # on a 1-D toy the transport-route weights rank like the KDE route
-        rng = np.random.default_rng(6)
-        ssm = gaussian_ssm_1d()
-        kernel = kernel_1d()
-        # mixture centers are the forecast particles, as in a filter cycle
-        forecast = Ensemble.equal_weight(rng.standard_normal((10, 1)))
-        prior = PriorMixture(forecast.states.copy(), ssm.q)
-        y = np.array([1.0])
-        cfg = MappingConfig(optimizer="sgd", learning_rate=0.05,
-                            criterion="max_iter", max_iterations=5,
-                            keep_trace=True)
-        result = mapping_cycle(ssm, prior, forecast, y, kernel, cfg)
-        states = result.ensemble.states
-        kde_rep = result.report
-        assert kde_rep.route == "kde"
-        log_jac = jacobian_transport_log_density(
-            kernel, result.trace.positions, result.trace.logp_grads,
-            result.trace.epsilons, prior)
-        jac_rep = importance_report(ssm, prior, states, y, log_jac, "jacobian")
-        def ranks(w):
-            return np.argsort(np.argsort(w)).astype(float)
-        ra, rb = ranks(kde_rep.weights), ranks(jac_rep.weights)
-        corr = np.corrcoef(ra, rb)[0, 1]
-        assert corr > 0.9
-
-    def test_singularity_detected(self):
-        prior = PriorMixture(np.zeros((2, 1)), Covariance.diagonal([1.0]))
-        states = np.array([[0.0], [0.5]])
-        grads = np.array([[0.0], [-3.0]])
-        hess = kl_hessian_field(kernel_1d(), states, grads)
-        h00 = hess[0][0, 0]
-        assert h00 != 0.0
-        # step size chosen so det(1 - eps * h) vanishes for particle 0
-        with pytest.raises(TransportSingularityError):
-            jacobian_transport_log_density(
-                kernel_1d(), [states, states], [grads], [1.0 / h00], prior)
 
 
 class TestScoreCycle:

@@ -1,5 +1,6 @@
 """Gaussian kernel values and derivatives against closed forms and finite
-differences."""
+differences, and the Gram matrix against pairwise evaluation and the
+solve-then-contract form it replaced."""
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ class TestEval:
     def test_bandwidth_is_alpha_times_q(self):
         q = Covariance.diagonal([2.0, 3.0])
         k = GaussianKernel.from_model_error(q, 4.0)
-        np.testing.assert_allclose(k.bandwidth.diagonal_entries(), [8.0, 12.0])
+        np.testing.assert_allclose(k.bandwidth.matrix(), np.diag([8.0, 12.0]))
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ContractViolation):
@@ -125,7 +126,7 @@ class TestGram:
         rng = np.random.default_rng(8)
         k = random_kernel(rng, 3)
         states = rng.standard_normal((12, 3))
-        gram = k.gram(states)
+        gram = k.interactions(states)
         np.testing.assert_allclose(gram, gram.T, atol=1e-14)
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-14)
         assert np.linalg.eigvalsh(gram).min() > -1e-10
@@ -134,22 +135,30 @@ class TestGram:
         rng = np.random.default_rng(9)
         k = random_kernel(rng, 2)
         states = rng.standard_normal((5, 2))
-        gram = k.gram(states)
+        gram = k.interactions(states)
         for l in range(5):
             for j in range(5):
                 assert gram[l, j] == pytest.approx(k(states[l], states[j]), rel=1e-12)
 
-    def test_interactions_sdiffs(self):
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_matches_solve_then_contract(self, dense):
+        # the Gram matrix was exp(-1/2 <d, A^{-1} d>) with A^{-1} d solved
+        # into a stored (N_p, N_p, n_x) tensor first: the same products in
+        # the same order, so bit for bit equal
         rng = np.random.default_rng(10)
-        k = random_kernel(rng, 3)
-        states = rng.standard_normal((4, 3))
-        _, sdiffs = k.interactions(states)
-        a_inv = k.bandwidth.inverse()
-        for l in range(4):
-            for j in range(4):
-                np.testing.assert_allclose(
-                    sdiffs[l, j], a_inv @ (states[l] - states[j]), atol=1e-12
-                )
+        for n_p, n_x in [(1, 1), (2, 3), (5, 3), (20, 6), (100, 40)]:
+            variances = rng.uniform(0.2, 2.0, size=n_x)
+            if dense:
+                m = rng.standard_normal((n_x, n_x))
+                q = Covariance.dense(m @ m.T / n_x + np.diag(variances))
+            else:
+                q = Covariance.diagonal(variances)
+            k = GaussianKernel.from_model_error(q, float(rng.uniform(0.5, 20.0)))
+            states = 2.0 * rng.standard_normal((n_p, n_x))
+            diffs = states[:, None, :] - states[None, :, :]
+            sdiffs = k.bandwidth.solve(diffs)
+            old = np.exp(-0.5 * np.einsum("ljk,ljk->lj", diffs, sdiffs))
+            np.testing.assert_array_equal(k.interactions(states), old)
 
     def test_dimension_mismatch(self):
         k = kernel_1d()
