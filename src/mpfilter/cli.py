@@ -23,6 +23,9 @@ from mpfilter.config import (
     preset_names,
 )
 from mpfilter.experiment import run_twin_experiment
+from mpfilter.models import IntegrationBlowupError
+from mpfilter.mpf import NonFiniteGradientError
+from mpfilter.ssm import NumericalDegeneracyError
 
 log = logging.getLogger("mpfilter")
 
@@ -88,7 +91,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    result = run_twin_experiment(cfg, out_dir=args.out, name=name)
+    try:
+        result = run_twin_experiment(cfg, out_dir=args.out, name=name)
+    except (NumericalDegeneracyError, NonFiniteGradientError,
+            IntegrationBlowupError) as exc:
+        # the rows written before the failure stay in the partial CSV
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if result.records:
         log.info(
             "%s: %d cycles, time-mean RMSE %.4g",

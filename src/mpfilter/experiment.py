@@ -9,13 +9,20 @@ cycle.  Identical (config, seed) pairs give identical numerical output.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from mpfilter.baselines import SirConfig, enkf_cycle, sir_cycle
-from mpfilter.config import ConfigError, ExperimentConfig, dump_config, parse_q_spec
+from mpfilter.config import (
+    ConfigError,
+    ExperimentConfig,
+    dump_config,
+    parse_flat,
+    parse_q_spec,
+)
 from mpfilter.core import Covariance, Ensemble
 from mpfilter.diagnostics import score_cycle, weight_variance
 from mpfilter.kernels import GaussianKernel
@@ -39,8 +46,6 @@ CSV_HEADER = (
 )
 TRACE_HEADER = "cycle,iteration,mean_grad_norm,neff"
 R_VARIANCE_FLOOR = 1e-8
-
-_CLIMATOLOGY_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def _fmt(x: float) -> str:
@@ -108,9 +113,27 @@ def build_model(cfg: ExperimentConfig):
 
 
 def default_cholera_params_path() -> str:
-    from importlib import resources
-
     return str(resources.files("mpfilter") / "data" / "cholera-default.cfg")
+
+
+def climatology_key(model) -> str:
+    """Key of an ODE model in the shipped climatology table: its name and
+    every dataclass field as ``field:repr(value)``."""
+    return " ".join(
+        [model.name] + [f"{f.name}:{getattr(model, f.name)!r}" for f in fields(model)]
+    )
+
+
+def shipped_climatology(model) -> np.ndarray | None:
+    """The model's climatological variance from ``data/climatology.cfg``,
+    or None when the table has no entry for it."""
+    text = (resources.files("mpfilter") / "data" / "climatology.cfg").read_text(
+        encoding="utf-8"
+    )
+    entry = parse_flat(text).get(climatology_key(model))
+    if entry is None:
+        return None
+    return np.array([float(v) for v in entry[0].split(",")])
 
 
 def observation_matrix(cfg: ExperimentConfig, model) -> np.ndarray:
@@ -151,11 +174,11 @@ def resolve_q_diagonal(cfg: ExperimentConfig, model) -> np.ndarray:
         return np.asarray(vals)
     if cfg.model == "cholera":
         raise ConfigError("climatological q_spec is not defined for cholera")
-    key = (cfg.model, cfg.dt, getattr(model, "n_vars", 0), getattr(model, "forcing", 0.0))
-    if key not in _CLIMATOLOGY_CACHE:
-        _CLIMATOLOGY_CACHE[key] = climatological_variance(model)
+    climatology = shipped_climatology(model)
+    if climatology is None:
+        climatology = climatological_variance(model)
     window = cfg.cycle_steps * cfg.dt
-    return vals[0] * _CLIMATOLOGY_CACHE[key] * window
+    return vals[0] * climatology * window
 
 
 def resolve_mapping_config(cfg: ExperimentConfig, n_x: int) -> MappingConfig:

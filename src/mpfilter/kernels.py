@@ -24,14 +24,12 @@ class GaussianKernel:
     """RBF kernel ``K(x, x') = exp(-1/2 (x-x')^T A^{-1} (x-x'))``."""
 
     bandwidth: Covariance
-    alpha: float
-    source_q: Covariance
 
     @classmethod
     def from_model_error(cls, q: Covariance, alpha: float) -> "GaussianKernel":
         if alpha <= 0.0:
             raise ContractViolation("kernel alpha must be > 0")
-        return cls(bandwidth=q.scaled(alpha), alpha=float(alpha), source_q=q)
+        return cls(bandwidth=q.scaled(alpha))
 
     @property
     def dim(self) -> int:

@@ -4,16 +4,20 @@ resolved-config echo and the command surface."""
 import numpy as np
 import pytest
 
+import mpfilter.experiment as experiment
 from mpfilter.cli import main
 from mpfilter.config import load_preset, loads
 from mpfilter.experiment import (
     CSV_HEADER,
     build_model,
+    climatology_key,
     observation_matrix,
     resolve_mapping_config,
     resolve_q_diagonal,
     run_twin_experiment,
+    shipped_climatology,
 )
+from mpfilter.models import Lorenz63, climatological_variance
 
 SMALL = """
 model = lorenz63
@@ -81,6 +85,47 @@ class TestQResolution:
         cfg = loads("model = cholera\nseed = 1\nq_spec = climatological:0.3\n")
         with pytest.raises(ConfigError):
             resolve_q_diagonal(cfg, build_model(cfg))
+
+
+class TestClimatologyTable:
+    def test_shipped_entry_matches_recomputation(self):
+        # Guards data/climatology.cfg: on a mismatch the message is the
+        # recomputed line, ready to paste into the table.
+        model = Lorenz63()
+        recomputed = climatological_variance(model)
+        line = (f"{climatology_key(model)} = "
+                + ", ".join(repr(float(v)) for v in recomputed))
+        assert np.array_equal(shipped_climatology(model), recomputed), line
+
+    @pytest.fixture
+    def counted_climatology(self, monkeypatch):
+        calls = []
+
+        def stub(model):
+            calls.append(model)
+            return np.ones(model.n_x)
+
+        monkeypatch.setattr(experiment, "climatological_variance", stub)
+        return calls
+
+    def test_table_miss_integrates_once(self, counted_climatology):
+        cfg = loads("model = lorenz63\nseed = 1\ndt = 0.002\n")
+        model = build_model(cfg)
+        assert shipped_climatology(model) is None
+        q = resolve_q_diagonal(cfg, model)
+        assert counted_climatology == [model]
+        assert np.array_equal(q, 0.3 * np.ones(3) * cfg.cycle_steps * cfg.dt)
+
+    def test_table_hit_skips_integration(self, counted_climatology):
+        # the preset runs the default Lorenz-63 (dt = 0.001)
+        cfg = load_preset("lorenz63-full-100p")
+        assert cfg.q_spec == "climatological:0.3"
+        model = build_model(cfg)
+        assert model == Lorenz63()
+        window = cfg.cycle_steps * cfg.dt
+        assert np.array_equal(resolve_q_diagonal(cfg, model),
+                              0.3 * shipped_climatology(model) * window)
+        assert counted_climatology == []
 
 
 class TestMappingResolution:
@@ -219,6 +264,20 @@ class TestCliCommands:
         resolved = (tmp_path / "run_resolved.cfg").read_text()
         assert "seed = 9" in resolved
         assert "filter = enkf" in resolved
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_run_divergence_exits_cleanly(self, tmp_path, capsys):
+        # sgd with a huge step drives the particles off the mixture, whose
+        # responsibilities underflow at iteration 18 of cycle 0
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("model = lorenz63\nseed = 1\nn_particles = 5\n"
+                       "cycles = 5\nspinup_steps = 200\nq_spec = diag:0.3\n"
+                       "mpf.optimizer = sgd\nmpf.learning_rate = 1e9\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "cycle 0" in err[0]
+        assert (tmp_path / "diverge.csv").read_text() == CSV_HEADER + "\n"
 
     def test_run_unknown_preset(self, capsys):
         assert main(["run", "--preset", "does-not-exist"]) == 1
