@@ -17,6 +17,7 @@ from mpfilter.diagnostics import effective_sample_size
 from mpfilter.ssm import StateSpaceModel, log_likelihood
 
 RIDGE = 1e-8
+ENKF_MIN_MEMBERS = 2  # the ensemble covariance divides by N_p - 1
 
 
 @dataclass
@@ -28,9 +29,9 @@ class SirConfig:
 
     def __post_init__(self):
         if not 0.0 < self.resample_threshold <= 1.0:
-            raise ContractViolation("resample threshold must be in (0, 1]")
+            raise ContractViolation("resample_threshold must be in (0, 1]")
         if self.resampler not in ("systematic", "multinomial"):
-            raise ContractViolation(f"unknown resampler {self.resampler!r}")
+            raise ContractViolation(f"resampler {self.resampler!r} is unknown")
 
 
 @dataclass
@@ -109,8 +110,8 @@ def enkf_cycle(
     independent N(0, R) perturbation.  A singular innovation covariance is
     ridge-regularized.
     """
-    if ens.n_particles < 2:
-        raise ContractViolation("EnKF needs at least two members")
+    if ens.n_particles < ENKF_MIN_MEMBERS:
+        raise ContractViolation(f"EnKF needs at least {ENKF_MIN_MEMBERS} members")
     _, states = ssm.forecast(ens.states, particle_rngs, t0)
     n_p = states.shape[0]
     h = ssm.obs_matrix

@@ -21,6 +21,7 @@ from mpfilter.config import (
     load_config,
     load_preset,
     preset_names,
+    validate,
 )
 from mpfilter.experiment import run_twin_experiment
 from mpfilter.models import IntegrationBlowupError
@@ -65,6 +66,7 @@ def _resolve_config(args) -> tuple:
         cfg.seed = args.seed
     if args.filter is not None:
         cfg.filter = args.filter
+    validate(cfg)
     return cfg, name
 
 
@@ -93,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         result = run_twin_experiment(cfg, out_dir=args.out, name=name)
-    except (NumericalDegeneracyError, NonFiniteGradientError,
+    except (ConfigError, NumericalDegeneracyError, NonFiniteGradientError,
             IntegrationBlowupError) as exc:
         # the rows written before the failure stay in the partial CSV
         print(f"error: {exc}", file=sys.stderr)

@@ -9,12 +9,16 @@ suffixes give the baseline twins of any preset.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from mpfilter.baselines import ENKF_MIN_MEMBERS, SirConfig
+from mpfilter.core import ContractViolation
 from mpfilter.diagnostics import KDE_MAX_DIM
-from mpfilter.models import CholeraModel, Lorenz63
+from mpfilter.models import CholeraModel, Lorenz63, Lorenz96, load_cholera_params
+from mpfilter.mpf import MappingConfig
 
 MODELS = ("lorenz63", "lorenz96", "cholera")
 FILTERS = ("mpf", "sir", "enkf")
@@ -128,7 +132,10 @@ def _coerce(key: str, raw: str, line_no: int):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(raw)
+            return value
         if kind == "bool":
             low = raw.lower()
             if low in ("true", "yes", "1"):
@@ -177,7 +184,8 @@ def parse_flat(text: str) -> dict[str, tuple[str, int]]:
     return out
 
 
-def loads(text: str) -> ExperimentConfig:
+def loads(text: str, base_dir: Path | None = None) -> ExperimentConfig:
+    """Parse and validate; a relative cholera.params is read from base_dir."""
     raw = parse_flat(text)
     values: dict[str, object] = {}
     for key, (value, line_no) in raw.items():
@@ -187,9 +195,8 @@ def loads(text: str) -> ExperimentConfig:
             )
         values[key] = _coerce(key, value, line_no)
 
-    for required in ("model", "seed"):
-        if required not in values:
-            raise ConfigError(f"missing required key {required!r}")
+    if "model" not in values:
+        raise ConfigError("missing required key 'model'")
     model = values["model"]
     if model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; choose from {MODELS}")
@@ -201,17 +208,30 @@ def loads(text: str) -> ExperimentConfig:
             merged[_field_name(key)] = values[key]
         elif key in model_defaults:
             merged[_field_name(key)] = model_defaults[key]
-        elif default is not None or key in ("output", "cholera.params"):
+        elif default is not None:
             merged[_field_name(key)] = default
         else:
             raise ConfigError(f"missing required key {key!r}")
 
     cfg = ExperimentConfig(**merged)
-    _validate(cfg)
+    if base_dir is not None and cfg.cholera_params and not Path(
+            cfg.cholera_params).is_absolute():
+        cfg.cholera_params = str((base_dir / cfg.cholera_params).resolve())
+    validate(cfg)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig) -> None:
+def _check_section(section: str, build) -> None:
+    """Run a constructor that checks its own bounds; its ContractViolation
+    opens with the field name, so ``section.`` makes that the config key."""
+    try:
+        build()
+    except ContractViolation as exc:
+        raise ConfigError(f"{section}.{exc}") from None
+
+
+def validate(cfg: ExperimentConfig) -> None:
+    """Every rule ``run`` would apply to ``cfg`` before its first cycle."""
     if cfg.filter not in FILTERS:
         raise ConfigError(f"unknown filter {cfg.filter!r}; choose from {FILTERS}")
     if cfg.obs_operator not in OBS_OPERATORS[cfg.model]:
@@ -221,16 +241,31 @@ def _validate(cfg: ExperimentConfig) -> None:
         )
     if cfg.mpf_criterion not in CRITERIA:
         raise ConfigError(f"unknown mpf.criterion {cfg.mpf_criterion!r}")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg.n_particles < 1:
         raise ConfigError("n_particles must be >= 1")
+    if cfg.filter == "enkf" and cfg.n_particles < ENKF_MIN_MEMBERS:
+        raise ConfigError(f"n_particles must be >= {ENKF_MIN_MEMBERS} for filter = enkf")
     if cfg.cycles < 0:
         raise ConfigError("cycles must be >= 0")
-    if cfg.cycle_steps < 1:
-        raise ConfigError("cycle_steps must be >= 1")
+    if cfg.cycle_steps < 1 or cfg.spinup_steps < 1:
+        raise ConfigError("cycle_steps and spinup_steps must be >= 1")
     if cfg.dt <= 0.0 or cfg.r_variance <= 0.0 or cfg.kernel_alpha <= 0.0:
         raise ConfigError("dt, r_variance and kernel.alpha must be > 0")
     if not 0.0 < cfg.mpf_neff_threshold <= 1.0:
         raise ConfigError("mpf.neff_threshold is a fraction of N_p in (0, 1]")
+    if cfg.model == "lorenz96":
+        _check_section("lorenz96", lambda: Lorenz96(
+            n_vars=cfg.lorenz96_n_vars, forcing=cfg.lorenz96_forcing, dt=cfg.dt))
+    if cfg.model == "cholera":
+        path = cfg.cholera_params or default_cholera_params_path()
+        try:
+            params = load_cholera_params(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cholera.params {path}: {exc}") from None
+        if abs(params.dt - cfg.dt) > 1e-15:
+            raise ConfigError("dt must match the cholera parameter file (1/20 month)")
     n_x = {"lorenz63": Lorenz63.n_x, "cholera": CholeraModel.n_x}.get(
         cfg.model, cfg.lorenz96_n_vars)
     if cfg.mpf_criterion == "neff" and n_x > KDE_MAX_DIM:
@@ -238,7 +273,34 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"mpf.criterion = neff needs KDE weights, which are limited to "
             f"{KDE_MAX_DIM} state dimensions (got {n_x}); use grad_ratio or max_iter"
         )
-    parse_q_spec(cfg.q_spec)
+    _check_section("mpf", lambda: resolve_mapping_config(cfg, n_x))
+    _check_section("sir", lambda: SirConfig(cfg.sir_resample_threshold, cfg.sir_resampler))
+    kind, vals = parse_q_spec(cfg.q_spec)
+    if kind == "climatological" and cfg.model == "cholera":
+        raise ConfigError("q_spec climatological is not defined for cholera; use diag:...")
+    if kind == "diag" and len(vals) not in (1, n_x):
+        raise ConfigError(f"q_spec diag needs 1 or {n_x} values, got {len(vals)}")
+
+
+def default_cholera_params_path() -> str:
+    return str(resources.files("mpfilter") / "data" / "cholera-default.cfg")
+
+
+def resolve_mapping_config(cfg: ExperimentConfig, n_x: int) -> MappingConfig:
+    criterion = cfg.mpf_criterion
+    if criterion == "auto":
+        criterion = "neff" if n_x <= 3 else "grad_ratio"
+    return MappingConfig(
+        optimizer=cfg.mpf_optimizer,
+        learning_rate=cfg.mpf_learning_rate,
+        max_iterations=cfg.mpf_max_iterations,
+        criterion=criterion,
+        neff_threshold=cfg.mpf_neff_threshold * cfg.n_particles,
+        grad_ratio_threshold=cfg.mpf_grad_ratio_threshold,
+        adadelta_rho=cfg.mpf_adadelta_rho,
+        adam_beta1=cfg.mpf_adam_beta1,
+        adam_beta2=cfg.mpf_adam_beta2,
+    )
 
 
 def parse_q_spec(spec: str) -> tuple[str, list[float]]:
@@ -250,8 +312,8 @@ def parse_q_spec(spec: str) -> tuple[str, list[float]]:
         vals = [float(v) for v in rest.split(",")]
     except ValueError:
         raise ConfigError(f"bad q_spec values in {spec!r}") from None
-    if any(v <= 0.0 for v in vals):
-        raise ConfigError("q_spec values must be > 0")
+    if not all(math.isfinite(v) and v > 0.0 for v in vals):
+        raise ConfigError("q_spec values must be finite and > 0")
     if kind == "climatological" and len(vals) != 1:
         raise ConfigError("climatological q_spec takes a single fraction")
     return kind, vals
@@ -264,12 +326,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = loads(text)
+        return loads(text, base_dir=path.parent)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if cfg.cholera_params and not Path(cfg.cholera_params).is_absolute():
-        cfg.cholera_params = str((path.parent / cfg.cholera_params).resolve())
-    return cfg
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
@@ -315,4 +374,5 @@ def load_preset(name: str) -> ExperimentConfig:
     cfg = loads(text)
     if override is not None:
         cfg.filter = override
+        validate(cfg)
     return cfg

@@ -19,58 +19,29 @@ class ContractViolation(ValueError):
 
 
 class CovarianceError(ValueError):
-    """Covariance construction rejected (non-SPD, non-finite, wrong shape)."""
+    """Covariance construction rejected (non-positive, non-finite, wrong shape)."""
 
 
 class Covariance:
-    """Symmetric positive definite covariance with cached inverse and factor.
+    """Diagonal covariance, a vector of positive variances: Q, the kernel
+    bandwidth ``A = alpha Q`` and R all are.  Solves, quadratic forms and
+    samples are elementwise; :meth:`pairwise_quadratic_form` is the one
+    place the Gram matrix and the mixture log-psi get their pairwise
+    Mahalanobis distances from."""
 
-    Two storage kinds are supported: ``diagonal`` (vector of positive
-    variances) and ``dense`` (full SPD matrix, Cholesky-factorized once at
-    construction).  Both sampling and inverse quadratic forms reuse the
-    cached factorization.
-    """
-
-    def __init__(self, kind: str, data: np.ndarray):
-        data = np.asarray(data, dtype=float)
-        if kind == "diagonal":
-            if data.ndim != 1 or data.size == 0:
-                raise CovarianceError("diagonal covariance needs a 1-D vector")
-            if not np.all(np.isfinite(data)) or np.any(data <= 0.0):
-                raise CovarianceError("diagonal entries must be finite and > 0")
-            self._diag = data.copy()
-            self._sqrt_diag = np.sqrt(data)
-            self._inv_diag = 1.0 / data
-            self._chol = None
-            self._inv = None
-        elif kind == "dense":
-            if data.ndim != 2 or data.shape[0] != data.shape[1]:
-                raise CovarianceError("dense covariance must be square")
-            if not np.all(np.isfinite(data)):
-                raise CovarianceError("dense covariance has non-finite entries")
-            if not np.allclose(data, data.T, rtol=1e-10, atol=1e-12):
-                raise CovarianceError("dense covariance must be symmetric")
-            sym = 0.5 * (data + data.T)
-            try:
-                chol = np.linalg.cholesky(sym)
-            except np.linalg.LinAlgError as exc:
-                raise CovarianceError("covariance is not positive definite") from exc
-            self._diag = None
-            self._chol = chol
-            self._inv = np.linalg.inv(sym)
-            self._dense = sym
-        else:
-            raise CovarianceError(f"unknown covariance kind {kind!r}")
-        self._kind = kind
-        self._dim = data.shape[0]
+    def __init__(self, variances: np.ndarray):
+        variances = np.asarray(variances, dtype=float)
+        if variances.ndim != 1 or variances.size == 0:
+            raise CovarianceError("diagonal covariance needs a 1-D vector")
+        if not np.all(np.isfinite(variances)) or np.any(variances <= 0.0):
+            raise CovarianceError("diagonal entries must be finite and > 0")
+        self._diag = variances.copy()
+        self._sqrt_diag = np.sqrt(variances)
+        self._inv_diag = 1.0 / variances
 
     @classmethod
     def diagonal(cls, entries) -> "Covariance":
-        return cls("diagonal", np.atleast_1d(np.asarray(entries, dtype=float)))
-
-    @classmethod
-    def dense(cls, matrix) -> "Covariance":
-        return cls("dense", matrix)
+        return cls(np.atleast_1d(np.asarray(entries, dtype=float)))
 
     @classmethod
     def isotropic(cls, variance: float, dim: int) -> "Covariance":
@@ -78,53 +49,47 @@ class Covariance:
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._diag.size
 
     def matrix(self) -> np.ndarray:
-        if self._kind == "diagonal":
-            return np.diag(self._diag)
-        return self._dense.copy()
-
-    def inverse(self) -> np.ndarray:
-        if self._kind == "diagonal":
-            return np.diag(self._inv_diag)
-        return self._inv.copy()
+        return np.diag(self._diag)
 
     def scaled(self, factor: float) -> "Covariance":
         """Return ``factor * self`` as a new covariance (factor > 0)."""
         if factor <= 0.0:
             raise CovarianceError("scale factor must be > 0")
-        if self._kind == "diagonal":
-            return Covariance.diagonal(self._diag * factor)
-        return Covariance.dense(self._dense * factor)
+        return Covariance.diagonal(self._diag * factor)
 
     def _check_dim(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if v.shape[-1] != self._dim:
+        if v.shape[-1] != self.dim:
             raise ContractViolation(
-                f"vector length {v.shape[-1]} does not match covariance dim {self._dim}"
+                f"vector length {v.shape[-1]} does not match covariance dim {self.dim}"
             )
         return v
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """Return ``inverse(Sigma) @ v`` (batched over leading axes)."""
-        v = self._check_dim(v)
-        if self._kind == "diagonal":
-            return v * self._inv_diag
-        return v @ self._inv  # inverse is symmetric
+        return self._check_dim(v) * self._inv_diag
 
     def quadratic_form(self, v: np.ndarray):
         """Return ``v^T Sigma^{-1} v`` (batched over leading axes)."""
         v = self._check_dim(v)
         return np.einsum("...i,...i->...", v, self.solve(v))
 
+    def pairwise_quadratic_form(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``quadratic_form(a[:, None, :] - b[None, :, :])``, (N_a, N_b).  The
+        difference tensor and its solve share one allocation: as two blocks,
+        malloc trimmed them and every call faulted their pages back in."""
+        d, sd = np.empty((2, len(a), len(b), self.dim))
+        np.subtract(self._check_dim(a)[:, None], self._check_dim(b)[None], out=d)
+        np.multiply(d, self._inv_diag, out=sd)
+        return np.einsum("...i,...i->...", d, sd)
+
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw ``N(0, Sigma)`` samples; shape ``(dim,)`` or ``(size, dim)``."""
-        shape = (self._dim,) if size is None else (size, self._dim)
-        z = rng.standard_normal(shape)
-        if self._kind == "diagonal":
-            return z * self._sqrt_diag
-        return z @ self._chol.T
+        shape = (self.dim,) if size is None else (size, self.dim)
+        return rng.standard_normal(shape) * self._sqrt_diag
 
 
 @dataclass

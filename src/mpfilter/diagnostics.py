@@ -15,7 +15,12 @@ import numpy as np
 
 from mpfilter.core import ContractViolation, Ensemble
 from mpfilter.kernels import GaussianKernel
-from mpfilter.ssm import PriorMixture, StateSpaceModel, log_likelihood
+from mpfilter.ssm import (
+    NumericalDegeneracyError,
+    PriorMixture,
+    StateSpaceModel,
+    log_likelihood,
+)
 
 KDE_MAX_DIM = 10
 
@@ -88,8 +93,10 @@ def importance_report(
         + prior.log_density(states, log_psi)
         - log_proposal
     )
-    log_w = log_w - np.max(log_w)
-    w = np.exp(log_w)
+    top = np.max(log_w)
+    if not np.isfinite(top):
+        raise NumericalDegeneracyError(f"importance log weights degenerate (max {top})")
+    w = np.exp(log_w - top)
     w = w / w.sum()
     return WeightReport(
         weights=w,

@@ -19,9 +19,11 @@ from mpfilter.baselines import SirConfig, enkf_cycle, sir_cycle
 from mpfilter.config import (
     ConfigError,
     ExperimentConfig,
+    default_cholera_params_path,
     dump_config,
     parse_flat,
     parse_q_spec,
+    resolve_mapping_config,
 )
 from mpfilter.core import Covariance, Ensemble
 from mpfilter.diagnostics import score_cycle, weight_variance
@@ -71,20 +73,9 @@ class CycleRecord:
     extras: dict = field(default_factory=dict)
 
     def csv_row(self) -> str:
-        cells = [
-            str(self.cycle),
-            _fmt(self.time),
-            _fmt(self.rmse),
-            _fmt(self.spread),
-            _fmt(self.neff),
-            _fmt(self.kl_from_weights),
-            _fmt(self.weight_variance),
-            str(self.map_iterations),
-            _fmt(self.grad_norm_initial),
-            _fmt(self.grad_norm_final),
-            _fmt(self.wallclock_ms),
-        ]
-        return ",".join(cells)
+        """The ``CSV_HEADER`` columns: integers as such, floats round-trip."""
+        cells = [getattr(self, column) for column in CSV_HEADER.split(",")]
+        return ",".join(str(c) if isinstance(c, int) else _fmt(c) for c in cells)
 
 
 @dataclass
@@ -106,14 +97,7 @@ def build_model(cfg: ExperimentConfig):
         return Lorenz63(dt=cfg.dt)
     if cfg.model == "lorenz96":
         return Lorenz96(n_vars=cfg.lorenz96_n_vars, forcing=cfg.lorenz96_forcing, dt=cfg.dt)
-    params = load_cholera_params(cfg.cholera_params or default_cholera_params_path())
-    if abs(params.dt - cfg.dt) > 1e-15:
-        raise ConfigError("cholera dt must match the parameter file (1/20 month)")
-    return CholeraModel(params)
-
-
-def default_cholera_params_path() -> str:
-    return str(resources.files("mpfilter") / "data" / "cholera-default.cfg")
+    return CholeraModel(load_cholera_params(cfg.cholera_params or default_cholera_params_path()))
 
 
 def climatology_key(model) -> str:
@@ -163,39 +147,13 @@ def resolve_q_diagonal(cfg: ExperimentConfig, model) -> np.ndarray:
     model time).  The resolved values are frozen into the config echo.
     """
     kind, vals = parse_q_spec(cfg.q_spec)
-    n_x = model.n_x
     if kind == "diag":
-        if len(vals) == 1:
-            return np.full(n_x, vals[0])
-        if len(vals) != n_x:
-            raise ConfigError(
-                f"q_spec diag needs 1 or {n_x} values, got {len(vals)}"
-            )
-        return np.asarray(vals)
-    if cfg.model == "cholera":
-        raise ConfigError("climatological q_spec is not defined for cholera")
+        return np.full(model.n_x, vals[0]) if len(vals) == 1 else np.asarray(vals)
     climatology = shipped_climatology(model)
     if climatology is None:
         climatology = climatological_variance(model)
     window = cfg.cycle_steps * cfg.dt
     return vals[0] * climatology * window
-
-
-def resolve_mapping_config(cfg: ExperimentConfig, n_x: int) -> MappingConfig:
-    criterion = cfg.mpf_criterion
-    if criterion == "auto":
-        criterion = "neff" if n_x <= 3 else "grad_ratio"
-    return MappingConfig(
-        optimizer=cfg.mpf_optimizer,
-        learning_rate=cfg.mpf_learning_rate,
-        max_iterations=cfg.mpf_max_iterations,
-        criterion=criterion,
-        neff_threshold=cfg.mpf_neff_threshold * cfg.n_particles,
-        grad_ratio_threshold=cfg.mpf_grad_ratio_threshold,
-        adadelta_rho=cfg.mpf_adadelta_rho,
-        adam_beta1=cfg.mpf_adam_beta1,
-        adam_beta2=cfg.mpf_adam_beta2,
-    )
 
 
 @dataclass
@@ -367,7 +325,6 @@ def run_twin_experiment(
                     ssm, ensemble, y, sir_cfg, particle_rngs, resample_rng, t0
                 )
                 neff = diag.n_eff
-                kl_w = float("nan")
                 w_var = weight_variance(ensemble.weights)
                 extras["resampled"] = diag.resampled
                 extras["degenerate"] = diag.degenerate

@@ -1,9 +1,10 @@
 """Gaussian RBF kernel on state space with bandwidth tied to the model error.
 
-The bandwidth matrix is ``A = alpha * Q`` where ``Q`` is the model error
-covariance.  The filter needs one pairwise product of the kernel, the Gram
-matrix (:meth:`GaussianKernel.interactions`); the KL gradient forms both
-its attraction and its repulsion from it.  The pointwise value and
+The bandwidth matrix is ``A = alpha * Q`` where ``Q`` is the diagonal
+model error covariance.  The filter needs one pairwise product of the
+kernel, the Gram matrix (:meth:`GaussianKernel.interactions`, from
+``A.pairwise_quadratic_form``); the KL gradient forms both its
+attraction and its repulsion from it.  The pointwise value and
 derivatives are the closed forms the tests check that against.
 Derivatives follow the source-argument convention: gradients are taken
 with respect to the *first* argument (the source particle), so that the
@@ -56,7 +57,7 @@ class GaussianKernel:
         d = np.asarray(xl, dtype=float) - np.asarray(xj, dtype=float)
         k = np.exp(-0.5 * self.bandwidth.quadratic_form(d))
         sd = self.bandwidth.solve(d)
-        return (self.bandwidth.inverse() - np.outer(sd, sd)) * k
+        return (self.bandwidth.solve(np.eye(self.dim)) - np.outer(sd, sd)) * k
 
     def interactions(self, states: np.ndarray) -> np.ndarray:
         """The pairwise pass over a particle set: the Gram matrix
@@ -66,9 +67,4 @@ class GaussianKernel:
         it, which is where the O(N_p^2) cost of the filter lives.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        if states.shape[1] != self.dim:
-            raise ContractViolation(
-                f"state dimension {states.shape[1]} does not match kernel dim {self.dim}"
-            )
-        diffs = states[:, None, :] - states[None, :, :]
-        return np.exp(-0.5 * self.bandwidth.quadratic_form(diffs))
+        return np.exp(-0.5 * self.bandwidth.pairwise_quadratic_form(states, states))

@@ -77,7 +77,7 @@ class Lorenz96(OdeModel):
 
     def __post_init__(self):
         if self.n_vars < 4:
-            raise ContractViolation("Lorenz-96 needs n_vars >= 4")
+            raise ContractViolation("n_vars must be >= 4 for Lorenz-96")
 
     @property
     def n_x(self) -> int:
@@ -101,10 +101,12 @@ def advance_window(model, x: np.ndarray, steps: int) -> np.ndarray:
     if steps < 1:
         raise ContractViolation("steps must be >= 1")
     x = np.asarray(x, dtype=float)
-    for i in range(steps):
-        x = model.step(x)
-        if not np.all(np.isfinite(x)):
-            raise IntegrationBlowupError(model.name, i + 1)
+    # an overflow shows as a non-finite state, reported as a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            x = model.step(x)
+            if not np.all(np.isfinite(x)):
+                raise IntegrationBlowupError(model.name, i + 1)
     return x
 
 
@@ -112,12 +114,13 @@ def free_run(model, x0: np.ndarray, steps: int, sample_every: int = 1) -> np.nda
     """Deterministic trajectory sampled every ``sample_every`` steps."""
     x = np.asarray(x0, dtype=float)
     out = []
-    for i in range(steps):
-        x = model.step(x)
-        if not np.all(np.isfinite(x)):
-            raise IntegrationBlowupError(model.name, i + 1)
-        if (i + 1) % sample_every == 0:
-            out.append(x.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            x = model.step(x)
+            if not np.all(np.isfinite(x)):
+                raise IntegrationBlowupError(model.name, i + 1)
+            if (i + 1) % sample_every == 0:
+                out.append(x.copy())
     return np.asarray(out)
 
 
@@ -246,11 +249,12 @@ class CholeraModel:
         x[5] = 0.0
         delta_c = 0.0
         sqrt_dt = np.sqrt(self.dt)
-        for k in range(len(z)):
-            x, dc = self._em_step(x, t0 + k * self.dt, z[k] * sqrt_dt)
-            if not np.all(np.isfinite(x)):
-                raise IntegrationBlowupError(self.name, k + 1)
-            delta_c += dc
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for k in range(len(z)):
+                x, dc = self._em_step(x, t0 + k * self.dt, z[k] * sqrt_dt)
+                if not np.all(np.isfinite(x)):
+                    raise IntegrationBlowupError(self.name, k + 1)
+                delta_c += dc
         return x, delta_c
 
     def forecast(self, states: np.ndarray, t0: float, steps: int, rngs) -> np.ndarray:

@@ -19,6 +19,7 @@ cycle's closing weight report.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +68,11 @@ class MappingConfig:
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
-            raise ContractViolation(f"unknown optimizer {self.optimizer!r}")
+            raise ContractViolation(f"optimizer {self.optimizer!r} is unknown")
         if self.criterion not in CRITERIA:
-            raise ContractViolation(f"unknown criterion {self.criterion!r}")
+            raise ContractViolation(f"criterion {self.criterion!r} is unknown")
         if self.learning_rate <= 0.0:
-            raise ContractViolation("learning rate must be > 0")
+            raise ContractViolation("learning_rate must be > 0")
         if self.max_iterations < 1:
             raise ContractViolation("max_iterations must be >= 1")
         if not 0.0 < self.grad_ratio_threshold < 1.0:
@@ -222,6 +223,16 @@ def _kde_report(ssm, prior, kernel, states, y, pairs) -> WeightReport:
     return importance_report(ssm, prior, states, y, log_q, route="kde", log_psi=log_psi)
 
 
+@contextmanager
+def _aborts_at(cycle: int | None, iteration: int):
+    """Prefix an error raised inside with where the mapping stopped."""
+    try:
+        yield
+    except Exception as exc:
+        msg = f"mapping aborted at cycle {cycle}, iteration {iteration}: {exc}"
+        raise type(exc)(msg) from exc
+
+
 def mapping_cycle(
     ssm: StateSpaceModel,
     prior: PriorMixture,
@@ -250,16 +261,12 @@ def mapping_cycle(
     report = None
     iterations = 0
     for i in range(cfg.max_iterations):
-        try:
+        with _aborts_at(cycle, i):
             if pairs is None:
                 pairs = _pairwise_pass(kernel, prior, states)
             gram, log_psi = pairs
             logp_grads = log_posterior_grad(ssm, prior, states, y, log_psi=log_psi)
             field_vals = kl_gradient_field(kernel, states, logp_grads, gram)
-        except Exception as exc:
-            raise type(exc)(
-                f"mapping aborted at cycle {cycle}, iteration {i}: {exc}"
-            ) from exc
         bad = ~np.all(np.isfinite(field_vals), axis=-1)
         if np.any(bad):
             raise NonFiniteGradientError(int(np.argmax(bad)), i, cycle)
@@ -272,8 +279,9 @@ def mapping_cycle(
 
         neff = float("nan")
         if want_neff:
-            pairs = _pairwise_pass(kernel, prior, states)
-            report = _kde_report(ssm, prior, kernel, states, y, pairs)
+            with _aborts_at(cycle, i):
+                pairs = _pairwise_pass(kernel, prior, states)
+                report = _kde_report(ssm, prior, kernel, states, y, pairs)
             neff = report.n_eff
             neffs.append(neff)
         if diag_sink is not None:
@@ -285,9 +293,9 @@ def mapping_cycle(
 
     # under the neff rule the last report already scored the final states
     if report is None and n_x <= KDE_MAX_DIM:
-        report = _kde_report(
-            ssm, prior, kernel, states, y, _pairwise_pass(kernel, prior, states)
-        )
+        with _aborts_at(cycle, iterations):
+            pairs = _pairwise_pass(kernel, prior, states)
+            report = _kde_report(ssm, prior, kernel, states, y, pairs)
     return MappingResult(
         ensemble=Ensemble.equal_weight(states),
         iterations=iterations,

@@ -25,8 +25,8 @@ class NumericalDegeneracyError(RuntimeError):
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
-    return out
+    with np.errstate(divide="ignore"):  # log(0) if all -inf; callers check
+        return np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis)
 
 
 @dataclass
@@ -101,8 +101,7 @@ class PriorMixture:
         """Per-component log weights ``log w_m - 1/2 ||x - c_m||^2_Q``; the
         methods below take it precomputed as ``log_psi`` when given."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        diffs = x[:, None, :] - self.centers[None, :, :]
-        return self.log_weights[None, :] - 0.5 * self.q.quadratic_form(diffs)
+        return self.log_weights - 0.5 * self.q.pairwise_quadratic_form(x, self.centers)
 
     def log_density(self, x: np.ndarray, log_psi: np.ndarray | None = None) -> np.ndarray:
         """Unnormalized mixture log density (batched)."""

@@ -1,12 +1,14 @@
 """CLI and twin-experiment harness tests: CSV schema, determinism, the
 resolved-config echo and the command surface."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import mpfilter.experiment as experiment
 from mpfilter.cli import main
-from mpfilter.config import load_preset, loads
+from mpfilter.config import ConfigError, default_cholera_params_path, load_preset, loads
 from mpfilter.experiment import (
     CSV_HEADER,
     build_model,
@@ -68,10 +70,9 @@ class TestQResolution:
                                    [0.2, 0.2, 0.2])
 
     def test_diag_wrong_length(self):
-        from mpfilter.config import ConfigError
-        cfg = loads(SMALL.replace("diag:0.2", "diag:0.2,0.3"))
-        with pytest.raises(ConfigError):
-            resolve_q_diagonal(cfg, build_model(cfg))
+        # rejected when the config is read, before any run needs Q
+        with pytest.raises(ConfigError, match="q_spec diag needs 1 or 3 values"):
+            loads(SMALL.replace("diag:0.2", "diag:0.2,0.3"))
 
     def test_climatological_scaled_by_window(self):
         cfg = loads("model = lorenz63\nseed = 1\n")
@@ -81,10 +82,9 @@ class TestQResolution:
         assert np.all(q > 0.05) and np.all(q < 0.5)
 
     def test_climatological_rejected_for_cholera(self):
-        from mpfilter.config import ConfigError
-        cfg = loads("model = cholera\nseed = 1\nq_spec = climatological:0.3\n")
-        with pytest.raises(ConfigError):
-            resolve_q_diagonal(cfg, build_model(cfg))
+        # rejected when the config is read, before any run needs Q
+        with pytest.raises(ConfigError, match="q_spec climatological"):
+            loads("model = cholera\nseed = 1\nq_spec = climatological:0.3\n")
 
 
 class TestClimatologyTable:
@@ -265,10 +265,10 @@ class TestCliCommands:
         assert "seed = 9" in resolved
         assert "filter = enkf" in resolved
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_run_divergence_exits_cleanly(self, tmp_path, capsys):
-        # sgd with a huge step drives the particles off the mixture, whose
-        # responsibilities underflow at iteration 18 of cycle 0
+        # sgd with a huge step drives the particles off the mixture: the
+        # mixture density underflows for every particle, so the weight
+        # report after iteration 17 of cycle 0 has no finite log weight
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text("model = lorenz63\nseed = 1\nn_particles = 5\n"
                        "cycles = 5\nspinup_steps = 200\nq_spec = diag:0.3\n"
@@ -278,6 +278,61 @@ class TestCliCommands:
         assert len(err) == 1
         assert err[0].startswith("error: ") and "cycle 0" in err[0]
         assert (tmp_path / "diverge.csv").read_text() == CSV_HEADER + "\n"
+
+    def test_run_integration_blowup_exits_cleanly(self, tmp_path, capsys):
+        # dt = 0.2 is far beyond RK4's stability limit for Lorenz-96: the
+        # spin-up overflows at step 8, which is reported without numpy's
+        # overflow warnings
+        cfg = tmp_path / "blowup.cfg"
+        cfg.write_text("model = lorenz96\nseed = 1\nn_particles = 5\n"
+                       "cycles = 5\ndt = 0.2\nspinup_steps = 2000\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: integration of lorenz96 blew up at step 8"]
+
+    @pytest.mark.parametrize("text,key", [
+        pytest.param(SMALL + "mpf.optimizer = foo\n", "mpf.optimizer", id="optimizer"),
+        pytest.param(SMALL + "mpf.learning_rate = -1\n", "mpf.learning_rate", id="lr"),
+        pytest.param(SMALL + "mpf.max_iterations = 0\n", "mpf.max_iterations",
+                     id="max_iterations"),
+        pytest.param(SMALL + "mpf.grad_ratio_threshold = 2\n",
+                     "mpf.grad_ratio_threshold", id="grad_ratio"),
+        pytest.param(SMALL + "sir.resampler = foo\n", "sir.resampler", id="resampler"),
+        pytest.param(SMALL + "sir.resample_threshold = 0\n", "sir.resample_threshold",
+                     id="resample_threshold"),
+        pytest.param("model = lorenz96\nseed = 1\nlorenz96.n_vars = 3\n",
+                     "lorenz96.n_vars", id="n_vars"),
+        pytest.param(SMALL.replace("n_particles = 5", "n_particles = 1")
+                     + "filter = enkf\n", "n_particles", id="enkf-one-member"),
+        pytest.param("model = cholera\nseed = 1\nq_spec = climatological:0.3\n",
+                     "q_spec", id="cholera-climatological"),
+        pytest.param("model = cholera\nseed = 1\ncholera.params = missing.cfg\n",
+                     "cholera.params", id="cholera-missing-file"),
+        pytest.param("model = cholera\nseed = 1\ncholera.params = params.cfg\n",
+                     "cholera.params", id="cholera-unknown-key"),
+        pytest.param(SMALL + "r_variance = inf\n", "r_variance", id="nonfinite"),
+        pytest.param(SMALL.replace("seed = 3", "seed = -1"), "seed", id="seed"),
+        pytest.param(SMALL.replace("spinup_steps = 200", "spinup_steps = 0"),
+                     "spinup_steps", id="spinup"),
+        pytest.param(SMALL.replace("diag:0.2", "diag:0.2,0.3"), "q_spec",
+                     id="diag-length"),
+        pytest.param("model = cholera\nseed = 1\ndt = 0.1\n", "dt", id="cholera-dt"),
+    ])
+    def test_check_rejects_what_run_rejects(self, tmp_path, capsys, text, key):
+        # every config run would refuse is refused by check first, and run
+        # refuses it with one line, not a traceback
+        with open(default_cholera_params_path(), encoding="utf-8") as f:
+            (tmp_path / "params.cfg").write_text(f.read() + "foo = 1\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["check", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid: ") and key in err[0]
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
 
     def test_run_unknown_preset(self, capsys):
         assert main(["run", "--preset", "does-not-exist"]) == 1

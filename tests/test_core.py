@@ -24,22 +24,6 @@ class TestCovarianceConstruction:
         with pytest.raises(CovarianceError):
             Covariance.diagonal([np.inf])
 
-    def test_dense_rejects_asymmetric(self):
-        with pytest.raises(CovarianceError):
-            Covariance.dense([[1.0, 0.5], [0.2, 1.0]])
-
-    def test_dense_rejects_indefinite(self):
-        with pytest.raises(CovarianceError):
-            Covariance.dense([[1.0, 2.0], [2.0, 1.0]])
-
-    def test_dense_rejects_nonsquare(self):
-        with pytest.raises(CovarianceError):
-            Covariance.dense(np.ones((2, 3)))
-
-    def test_unknown_kind(self):
-        with pytest.raises(CovarianceError):
-            Covariance("sparse", np.ones(2))
-
     def test_scaled(self):
         q = Covariance.diagonal([2.0, 4.0])
         np.testing.assert_allclose(q.scaled(0.5).matrix(), np.diag([1.0, 2.0]))
@@ -62,15 +46,6 @@ class TestQuadraticForm:
         v = rng.standard_normal(4)
         assert cov.quadratic_form(v) == cov.quadratic_form(-v)
 
-    def test_dense_matches_diagonal(self):
-        diag = np.array([0.3, 1.7, 2.2])
-        d = Covariance.diagonal(diag)
-        f = Covariance.dense(np.diag(diag))
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            v = rng.standard_normal(3)
-            assert abs(d.quadratic_form(v) - f.quadratic_form(v)) < 1e-12
-
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
             Covariance.isotropic(1.0, 3).quadratic_form(np.zeros(2))
@@ -92,16 +67,29 @@ class TestQuadraticForm:
             np.testing.assert_allclose(new, old, rtol=1e-15, atol=0.0)
 
 
+class TestPairwiseQuadraticForm:
+    @pytest.mark.parametrize("n_a,n_b,n_x", [(1, 1, 1), (5, 7, 3), (100, 100, 40)])
+    def test_matches_difference_tensor(self, n_a, n_b, n_x):
+        # the Gram matrix and the mixture log-psi each built this
+        # (N_a, N_b, n_x) difference tensor themselves before
+        rng = np.random.default_rng(n_a + n_b + n_x)
+        cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
+        a = 3.0 * rng.standard_normal((n_a, n_x))
+        b = 3.0 * rng.standard_normal((n_b, n_x))
+        old = cov.quadratic_form(a[:, None, :] - b[None, :, :])
+        np.testing.assert_array_equal(cov.pairwise_quadratic_form(a, b), old)
+
+    def test_hand_values(self):
+        cov = Covariance.diagonal([2.0, 0.5])
+        a = np.array([[0.0, 0.0], [2.0, 1.0]])
+        b = np.array([[2.0, 0.0]])
+        np.testing.assert_array_equal(cov.pairwise_quadratic_form(a, b), [[2.0], [2.0]])
+
+
 class TestSolve:
     def test_diagonal(self):
         cov = Covariance.diagonal([2.0, 4.0])
         np.testing.assert_allclose(cov.solve([2.0, 4.0]), [1.0, 1.0])
-
-    def test_dense_matches_inverse(self):
-        m = np.array([[2.0, 0.3], [0.3, 1.0]])
-        cov = Covariance.dense(m)
-        v = np.array([1.0, -1.0])
-        np.testing.assert_allclose(cov.solve(v), np.linalg.solve(m, v), atol=1e-12)
 
 
 class TestSampling:
@@ -116,13 +104,6 @@ class TestSampling:
         cov = Covariance.diagonal([4.0])
         draws = cov.sample(np.random.default_rng(3), size=100_000)
         assert abs(np.var(draws) - 4.0) / 4.0 < 0.05
-
-    def test_dense_covariance_converges(self):
-        m = np.array([[2.0, 0.8], [0.8, 1.0]])
-        cov = Covariance.dense(m)
-        draws = cov.sample(np.random.default_rng(5), size=200_000)
-        emp = np.cov(draws.T)
-        np.testing.assert_allclose(emp, m, rtol=0.05)
 
     def test_single_draw_shape(self):
         cov = Covariance.isotropic(1.0, 4)

@@ -97,6 +97,19 @@ class TestPriorMixture:
         resp = prior.responsibilities(centers + 0.1)
         assert np.all(np.isfinite(resp))
 
+    @pytest.mark.parametrize("n_x_pts,n_c,n_x", [(1, 1, 1), (5, 7, 3), (100, 100, 40)])
+    def test_log_psi_matches_difference_tensor(self, n_x_pts, n_c, n_x):
+        # log-psi built its own (N_x, N_c, n_x) difference tensor before it
+        # took the covariance's pairwise form
+        rng = np.random.default_rng(n_x_pts + n_c + n_x)
+        q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
+        prior = PriorMixture(3.0 * rng.standard_normal((n_c, n_x)), q,
+                             weights=rng.uniform(0.1, 1.0, size=n_c))
+        x = 3.0 * rng.standard_normal((n_x_pts, n_x))
+        diffs = x[:, None, :] - prior.centers[None, :, :]
+        old = prior.log_weights[None, :] - 0.5 * q.quadratic_form(diffs)
+        np.testing.assert_array_equal(prior.log_psi(x), old)
+
     def test_bad_weights(self):
         with pytest.raises(ContractViolation):
             PriorMixture(np.zeros((2, 1)), Covariance.diagonal([1.0]),
