@@ -140,13 +140,16 @@ class TestGram:
             for j in range(5):
                 assert gram[l, j] == pytest.approx(k(states[l], states[j]), rel=1e-12)
 
-    def test_matches_solve_then_contract(self):
+    @pytest.mark.parametrize("isotropic", [False, True])
+    def test_matches_solve_then_contract(self, isotropic):
         # the Gram matrix was exp(-1/2 <d, A^{-1} d>) with A^{-1} d solved
         # into a stored (N_p, N_p, n_x) tensor first: the same products in
         # the same order, so bit for bit equal
         rng = np.random.default_rng(10)
         for n_p, n_x in [(1, 1), (2, 3), (5, 3), (20, 6), (100, 40)]:
-            q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
+            variances = rng.uniform(0.2, 2.0, size=n_x)
+            q = (Covariance.isotropic(variances[0], n_x) if isotropic
+                 else Covariance.diagonal(variances))
             k = GaussianKernel.from_model_error(q, float(rng.uniform(0.5, 20.0)))
             states = 2.0 * rng.standard_normal((n_p, n_x))
             diffs = states[:, None, :] - states[None, :, :]

@@ -106,14 +106,17 @@ def tensor_form_field(kernel, states, logp_grads):
 
 
 class TestMatrixFormRepulsion:
+    @pytest.mark.parametrize("isotropic", [False, True])
     @pytest.mark.parametrize("n_x", [1, 3, 40])
     @pytest.mark.parametrize("n_p", [1, 2, 5, 100])
-    def test_matches_tensor_form(self, n_p, n_x):
+    def test_matches_tensor_form(self, n_p, n_x, isotropic):
         # the matrix form A^{-1} (G^T X - colsum(G) X) reorders the sums of
         # the tensor form; states sit away from the origin (as Lorenz-63's
         # z does) and every other particle coincides with its neighbour
-        rng = np.random.default_rng(100 * n_p + n_x)
-        q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
+        rng = np.random.default_rng(100 * n_p + n_x + isotropic)
+        variances = rng.uniform(0.2, 2.0, size=n_x)
+        q = (Covariance.isotropic(variances[0], n_x) if isotropic
+             else Covariance.diagonal(variances))
         kernel = GaussianKernel.from_model_error(q, float(rng.uniform(0.5, 20.0)))
         states = 10.0 + 2.0 * rng.standard_normal((n_p, n_x))
         states[1::2] = states[0:n_p - 1:2]
