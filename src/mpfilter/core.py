@@ -1,8 +1,9 @@
 """Core numerical objects: covariances and particle ensembles.
 
 State vectors are plain 1-D ``numpy`` arrays; batches of states are 2-D
-arrays with one row per particle.  All reductions run in fixed ascending
-index order so identical seeds give bitwise-identical runs.
+arrays with one row per particle.  All reductions run in an order fixed
+by the code and the numpy/BLAS build (the pairwise form's matrix product
+sums in the BLAS's order), so identical seeds give bitwise-identical runs.
 """
 
 from __future__ import annotations
@@ -78,13 +79,21 @@ class Covariance:
         return np.einsum("...i,...i->...", v, self.solve(v))
 
     def pairwise_quadratic_form(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``quadratic_form(a[:, None, :] - b[None, :, :])``, (N_a, N_b).  The
-        difference tensor and its solve share one allocation: as two blocks,
-        malloc trimmed them and every call faulted their pages back in."""
-        d, sd = np.empty((2, len(a), len(b), self.dim))
-        np.subtract(self._check_dim(a)[:, None], self._check_dim(b)[None], out=d)
-        np.multiply(d, self._inv_diag, out=sd)
-        return np.einsum("...i,...i->...", d, sd)
+        """``quadratic_form(a[:, None, :] - b[None, :, :])``, (N_a, N_b), as one
+        matrix product: in whitened coordinates ``z = (x - m) Sigma^{-1/2}``
+        it is ``|z_a|^2 + |z_b|^2 - 2 z_a . z_b``, clipped at 0.  Centering on
+        ``m``, the mean of ``b``, keeps the expansion from cancelling for
+        states far from the origin.  It reorders the sums of the difference
+        tensor form, so the two agree to rounding, not bit for bit.  A
+        distance that overflows is ``inf`` (not NaN)."""
+        a, b = self._check_dim(a), self._check_dim(b)
+        w = 1.0 / self._sqrt_diag
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = b.mean(axis=0)
+            za, zb = (a - m) * w, (b - m) * w
+            d = (za * za).sum(axis=1)[:, None] + (zb * zb).sum(axis=1) - 2.0 * (za @ zb.T)
+        d[np.isnan(d)] = np.inf
+        return np.maximum(d, 0.0, out=d)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw ``N(0, Sigma)`` samples; shape ``(dim,)`` or ``(size, dim)``."""

@@ -64,7 +64,12 @@ class GaussianKernel:
         ``G[l, j] = K(x_l, x_j)``.
 
         The KL gradient (attraction and repulsion both) and the KDE reuse
-        it, which is where the O(N_p^2) cost of the filter lives.
+        it, which is where the O(N_p^2) cost of the filter lives.  The
+        distances come from one matrix product, whose rounding leaves the
+        self-distances near but not at 0; they are set to exactly 0, so
+        ``K(x, x) = 1`` even when the other distances have overflowed.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        return np.exp(-0.5 * self.bandwidth.pairwise_quadratic_form(states, states))
+        d = self.bandwidth.pairwise_quadratic_form(states, states)
+        np.fill_diagonal(d, 0.0)
+        return np.exp(-0.5 * d)

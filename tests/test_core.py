@@ -1,5 +1,7 @@
 """Covariance and ensemble container tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,23 +69,71 @@ class TestQuadraticForm:
             np.testing.assert_allclose(new, old, rtol=1e-15, atol=0.0)
 
 
+def difference_tensor_form(cov, a, b):
+    """The pairwise form as the Gram matrix and the mixture log-psi once
+    built it: the (N_a, N_b, n_x) difference tensor and its quadratic form."""
+    return cov.quadratic_form(a[:, None, :] - b[None, :, :])
+
+
+def gemm_tolerance(cov, *xs):
+    """Absolute error allowed the one-product form: its terms are whitened
+    squared norms, so rounding scales with the largest of them."""
+    return 1e-13 * max(1.0, *(cov.quadratic_form(x).max() for x in xs))
+
+
 class TestPairwiseQuadraticForm:
     @pytest.mark.parametrize("n_a,n_b,n_x", [(1, 1, 1), (5, 7, 3), (100, 100, 40)])
     def test_matches_difference_tensor(self, n_a, n_b, n_x):
-        # the Gram matrix and the mixture log-psi each built this
-        # (N_a, N_b, n_x) difference tensor themselves before
+        # the one matrix product reorders the sums of the difference tensor
+        # form, so the two agree to rounding of the whitened norms
         rng = np.random.default_rng(n_a + n_b + n_x)
         cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
         a = 3.0 * rng.standard_normal((n_a, n_x))
         b = 3.0 * rng.standard_normal((n_b, n_x))
-        old = cov.quadratic_form(a[:, None, :] - b[None, :, :])
-        np.testing.assert_array_equal(cov.pairwise_quadratic_form(a, b), old)
+        np.testing.assert_allclose(cov.pairwise_quadratic_form(a, b),
+                                   difference_tensor_form(cov, a, b),
+                                   rtol=0.0, atol=gemm_tolerance(cov, a, b))
 
     def test_hand_values(self):
         cov = Covariance.diagonal([2.0, 0.5])
         a = np.array([[0.0, 0.0], [2.0, 1.0]])
         b = np.array([[2.0, 0.0]])
-        np.testing.assert_array_equal(cov.pairwise_quadratic_form(a, b), [[2.0], [2.0]])
+        np.testing.assert_allclose(cov.pairwise_quadratic_form(a, b), [[2.0], [2.0]],
+                                   rtol=0.0, atol=gemm_tolerance(cov, a, b))
+
+    @pytest.mark.parametrize("n_a,n_b,n_x", [(5, 7, 3), (100, 100, 40)])
+    def test_translation_invariant(self, n_a, n_b, n_x):
+        # states far from the origin, as Lorenz-96 states near 8 are: the
+        # expansion |a|^2 + |b|^2 - 2 a.b cancels unless it is centered
+        rng = np.random.default_rng(n_a * n_b + n_x)
+        cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
+        a = 3.0 * rng.standard_normal((n_a, n_x)) + 1e6
+        b = 3.0 * rng.standard_normal((n_b, n_x)) + 1e6
+        np.testing.assert_allclose(cov.pairwise_quadratic_form(a, b),
+                                   difference_tensor_form(cov, a, b), rtol=0.0,
+                                   atol=gemm_tolerance(cov, a - 1e6, b - 1e6))
+
+    def test_nonnegative(self):
+        # coincident and nearly coincident rows: the rounding of the
+        # expansion must not leave a negative distance
+        rng = np.random.default_rng(3)
+        cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=6))
+        x = 5.0 * rng.standard_normal((30, 6))
+        x = np.concatenate([x, x, x + 1e-9])
+        assert np.all(cov.pairwise_quadratic_form(x, x) >= 0.0)
+
+    def test_overflow_is_inf(self):
+        # rows near 1e200 have squared distances beyond the float range:
+        # they come back as inf, never NaN, and with no RuntimeWarning
+        rng = np.random.default_rng(4)
+        cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=3))
+        x = 1e200 * rng.standard_normal((5, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = cov.pairwise_quadratic_form(x, x)
+        assert not np.any(np.isnan(d))
+        off_diagonal = ~np.eye(5, dtype=bool)
+        assert np.all(d[off_diagonal] == np.inf)
 
 
 class TestSolve:

@@ -1,6 +1,8 @@
 """Gaussian kernel values and derivatives against closed forms and finite
-differences, and the Gram matrix against pairwise evaluation and the
-solve-then-contract form it replaced."""
+differences, and the Gram matrix against pairwise evaluation and (to
+rounding) the solve-then-contract form it replaced."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -128,7 +130,7 @@ class TestGram:
         states = rng.standard_normal((12, 3))
         gram = k.interactions(states)
         np.testing.assert_allclose(gram, gram.T, atol=1e-14)
-        np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-14)
+        np.testing.assert_array_equal(np.diag(gram), 1.0)
         assert np.linalg.eigvalsh(gram).min() > -1e-10
 
     def test_matches_pairwise_eval(self):
@@ -143,8 +145,9 @@ class TestGram:
     @pytest.mark.parametrize("isotropic", [False, True])
     def test_matches_solve_then_contract(self, isotropic):
         # the Gram matrix was exp(-1/2 <d, A^{-1} d>) with A^{-1} d solved
-        # into a stored (N_p, N_p, n_x) tensor first: the same products in
-        # the same order, so bit for bit equal
+        # into a stored (N_p, N_p, n_x) tensor first; the one matrix product
+        # reorders those sums, so the two agree to rounding of the whitened
+        # squared norms (K <= 1 scales the distance error by at most 1/2)
         rng = np.random.default_rng(10)
         for n_p, n_x in [(1, 1), (2, 3), (5, 3), (20, 6), (100, 40)]:
             variances = rng.uniform(0.2, 2.0, size=n_x)
@@ -155,7 +158,29 @@ class TestGram:
             diffs = states[:, None, :] - states[None, :, :]
             sdiffs = k.bandwidth.solve(diffs)
             old = np.exp(-0.5 * np.einsum("ljk,ljk->lj", diffs, sdiffs))
-            np.testing.assert_array_equal(k.interactions(states), old)
+            tol = 1e-13 * max(1.0, k.bandwidth.quadratic_form(states).max())
+            np.testing.assert_allclose(k.interactions(states), old, rtol=0.0, atol=tol)
+
+    def test_unit_diagonal_far_from_origin(self):
+        # the self-distances of the one-product form are rounding residues
+        # of |z|^2 - 2 z.z + |z|^2; K(x, x) must still be exactly 1
+        rng = np.random.default_rng(12)
+        k = random_kernel(rng, 40)
+        states = 8.0 + 3.0 * rng.standard_normal((20, 40))
+        gram = k.interactions(states)
+        np.testing.assert_array_equal(np.diag(gram), 1.0)
+        assert np.all(gram <= 1.0)
+
+    def test_overflow_gives_zero_off_diagonal(self):
+        # rows near 1e200: every distance overflows, so the Gram matrix is
+        # the identity, with no NaN and no RuntimeWarning
+        rng = np.random.default_rng(13)
+        k = random_kernel(rng, 3)
+        states = 1e200 * rng.standard_normal((5, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram = k.interactions(states)
+        np.testing.assert_array_equal(gram, np.eye(5))
 
     def test_dimension_mismatch(self):
         k = kernel_1d()

@@ -1,13 +1,16 @@
 """Mapping engine tests: KL gradient field (and its matrix form against the
 pairwise-tensor form it replaced), optimizers, convergence logic, full
-mapping cycles on closed-form Gaussian targets, and the shared pairwise
-pass against the unfused per-consumer form."""
+mapping cycles on closed-form Gaussian targets, the shared pairwise
+pass against the unfused per-consumer form, and the stopping iterations
+of a twin run against the difference-tensor pairwise form."""
 
 import numpy as np
 import pytest
 
+from mpfilter.config import load_preset
 from mpfilter.core import ContractViolation, Covariance, Ensemble
 from mpfilter.diagnostics import KDE_MAX_DIM, importance_report, kde_log_proposal
+from mpfilter.experiment import run_twin_experiment
 from mpfilter.kernels import GaussianKernel
 from mpfilter.models import Lorenz63
 from mpfilter.mpf import (
@@ -408,3 +411,26 @@ class TestSharedPairwisePass:
         assert result.iterations >= 2
         expected = result.iterations + closing_passes
         assert calls == {"interactions": expected, "log_psi": expected}
+
+
+def difference_tensor_form(self, a, b):
+    """``Covariance.pairwise_quadratic_form`` as it was before the one
+    matrix product: the (N_a, N_b, n_x) difference tensor's quadratic form."""
+    return self.quadratic_form(a[:, None, :] - b[None, :, :])
+
+
+class TestPairwiseFormStoppingIterations:
+    def test_fully_observed_run_stops_alike(self, monkeypatch):
+        # the one-product pairwise form reorders sums; on a fully observed
+        # preset the rounding must not move any cycle's stopping iteration
+        def run():
+            cfg = load_preset("lorenz63-full-20p")
+            cfg.cycles = 30
+            return run_twin_experiment(cfg).records
+
+        gemm = run()
+        monkeypatch.setattr(Covariance, "pairwise_quadratic_form", difference_tensor_form)
+        tensor = run()
+        assert [r.map_iterations for r in gemm] == [r.map_iterations for r in tensor]
+        np.testing.assert_allclose([r.rmse for r in gemm], [r.rmse for r in tensor],
+                                   rtol=1e-9, atol=0.0)

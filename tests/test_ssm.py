@@ -1,6 +1,8 @@
 """Likelihood, mixture prior and log-posterior gradient tests, including the
 finite-difference oracle for the gradient."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,8 @@ class TestPriorMixture:
     @pytest.mark.parametrize("n_x_pts,n_c,n_x", [(1, 1, 1), (5, 7, 3), (100, 100, 40)])
     def test_log_psi_matches_difference_tensor(self, n_x_pts, n_c, n_x):
         # log-psi built its own (N_x, N_c, n_x) difference tensor before it
-        # took the covariance's pairwise form
+        # took the covariance's pairwise form, one matrix product that
+        # reorders the sums: they agree to rounding of the whitened norms
         rng = np.random.default_rng(n_x_pts + n_c + n_x)
         q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
         prior = PriorMixture(3.0 * rng.standard_normal((n_c, n_x)), q,
@@ -108,7 +111,20 @@ class TestPriorMixture:
         x = 3.0 * rng.standard_normal((n_x_pts, n_x))
         diffs = x[:, None, :] - prior.centers[None, :, :]
         old = prior.log_weights[None, :] - 0.5 * q.quadratic_form(diffs)
-        np.testing.assert_array_equal(prior.log_psi(x), old)
+        tol = 1e-13 * max(1.0, q.quadratic_form(x).max(),
+                          q.quadratic_form(prior.centers).max())
+        np.testing.assert_allclose(prior.log_psi(x), old, rtol=0.0, atol=tol)
+
+    def test_log_psi_overflow_is_minus_inf(self):
+        # points near 1e200 are infinitely far from every center: log-psi
+        # is -inf, with no NaN and no RuntimeWarning
+        rng = np.random.default_rng(6)
+        prior = PriorMixture(rng.standard_normal((7, 3)), Covariance.isotropic(0.5, 3))
+        x = 1e200 * rng.standard_normal((5, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_psi = prior.log_psi(x)
+        assert np.all(log_psi == -np.inf)
 
     def test_bad_weights(self):
         with pytest.raises(ContractViolation):
