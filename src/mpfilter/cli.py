@@ -17,6 +17,7 @@ import os
 import sys
 
 from mpfilter.config import (
+    FILTERS,
     ConfigError,
     load_config,
     load_preset,
@@ -43,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--preset", help="named preset (see list-presets)")
     run.add_argument("--seed", type=int, help="override the config seed")
     run.add_argument("--out", default=".", help="output directory (default: cwd)")
-    run.add_argument("--filter", choices=("mpf", "sir", "enkf"),
+    run.add_argument("--filter", choices=FILTERS,
                      help="override the configured filter")
 
     sub.add_parser("list-presets", help="list shipped experiment presets")

@@ -1,72 +1,31 @@
 """Experiment configuration: flat ``key = value`` files with dotted keys.
 
-Lines are ``key = value``; ``#`` starts a comment; unknown keys are
-rejected fail-fast with the nearest valid key named.  Presets shipped with
-the package reproduce the standard experiments; ``-sir`` / ``-enkf``
-suffixes give the baseline twins of any preset.
+The keys are the fields of ``ExperimentConfig``; a field whose name opens
+with one of ``SECTIONS`` is written ``section.name`` (``mpf_learning_rate``
+is ``mpf.learning_rate``).  A field's annotation is the type its value is
+parsed as and its default is the config default; a field without one is
+required unless ``_MODEL_DEFAULTS`` gives the model's value.  Lines are
+``key = value``; ``#`` starts a comment; unknown keys are rejected
+fail-fast with the nearest valid key named.  Presets shipped with the
+package reproduce the standard experiments; ``-sir`` / ``-enkf`` suffixes
+give the baseline twins of any preset.
 """
 
 from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
+from mpfilter import mpf
 from mpfilter.baselines import ENKF_MIN_MEMBERS, SirConfig
 from mpfilter.core import ContractViolation
 from mpfilter.diagnostics import KDE_MAX_DIM
 from mpfilter.models import CholeraModel, Lorenz63, Lorenz96, load_cholera_params
-from mpfilter.mpf import MappingConfig
 
-MODELS = ("lorenz63", "lorenz96", "cholera")
-FILTERS = ("mpf", "sir", "enkf")
-OBS_OPERATORS = {
-    "lorenz63": ("full", "xonly", "zonly"),
-    "lorenz96": ("full", "every2"),
-    "cholera": ("mortality",),
-}
-CRITERIA = ("auto", "neff", "grad_ratio", "max_iter")
-
-
-class ConfigError(ValueError):
-    """Configuration file could not be parsed or validated."""
-
-
-# key -> (type tag, default); None default means "required" or model-dependent
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "model": ("str", None),
-    "filter": ("str", "mpf"),
-    "seed": ("int", None),
-    "n_particles": ("int", 20),
-    "cycles": ("int", 100),
-    "cycle_steps": ("int", None),
-    "dt": ("float", None),
-    "obs_operator": ("str", None),
-    "r_variance": ("float", 0.5),
-    "q_spec": ("str", None),
-    "spinup_steps": ("int", 20000),
-    "output": ("str", ""),
-    "trace": ("bool", False),
-    "kernel.alpha": ("float", 1.0),
-    "mpf.optimizer": ("str", "adadelta"),
-    "mpf.learning_rate": ("float", 0.03),
-    "mpf.max_iterations": ("int", 50),
-    "mpf.criterion": ("str", "auto"),
-    "mpf.neff_threshold": ("float", 0.9),
-    "mpf.grad_ratio_threshold": ("float", 0.07),
-    "mpf.adadelta_rho": ("float", 0.95),
-    "mpf.adam_beta1": ("float", 0.9),
-    "mpf.adam_beta2": ("float", 0.999),
-    "mpf.carry_weights": ("bool", False),
-    "sir.resample_threshold": ("float", 0.5),
-    "sir.resampler": ("str", "systematic"),
-    "lorenz96.n_vars": ("int", 40),
-    "lorenz96.forcing": ("float", 8.0),
-    "cholera.params": ("str", ""),
-}
-
+SECTIONS = ("kernel", "mpf", "sir", "lorenz96", "cholera")
 _MODEL_DEFAULTS: dict[str, dict[str, object]] = {
     "lorenz63": {
         "cycle_steps": 10,
@@ -87,47 +46,64 @@ _MODEL_DEFAULTS: dict[str, dict[str, object]] = {
         "q_spec": "diag:4e-4,4e-4,4e-4,4e-4,4e-4,1.0",
     },
 }
+MODELS = tuple(_MODEL_DEFAULTS)
+FILTERS = ("mpf", "sir", "enkf")  # FILTERS[1:], the baselines, name the preset twins
+OBS_OPERATORS = {
+    "lorenz63": ("full", "xonly", "zonly"),
+    "lorenz96": ("full", "every2"),
+    "cholera": ("mortality",),
+}
+CRITERIA = ("auto",) + mpf.CRITERIA
 
 
-@dataclass
+class ConfigError(ValueError):
+    """Configuration file could not be parsed or validated."""
+
+
+@dataclass(kw_only=True)
 class ExperimentConfig:
     model: str
-    filter: str
+    filter: str = "mpf"
     seed: int
-    n_particles: int
-    cycles: int
+    n_particles: int = 20
+    cycles: int = 100
     cycle_steps: int
     dt: float
     obs_operator: str
-    r_variance: float
+    r_variance: float = 0.5
     q_spec: str
-    spinup_steps: int
-    output: str
-    trace: bool
-    kernel_alpha: float
-    mpf_optimizer: str
-    mpf_learning_rate: float
-    mpf_max_iterations: int
-    mpf_criterion: str
-    mpf_neff_threshold: float
-    mpf_grad_ratio_threshold: float
-    mpf_adadelta_rho: float
-    mpf_adam_beta1: float
-    mpf_adam_beta2: float
-    mpf_carry_weights: bool
-    sir_resample_threshold: float
-    sir_resampler: str
-    lorenz96_n_vars: int
-    lorenz96_forcing: float
-    cholera_params: str
+    spinup_steps: int = 20000
+    output: str = ""
+    trace: bool = False
+    kernel_alpha: float = 1.0
+    mpf_optimizer: str = "adadelta"
+    mpf_learning_rate: float = 0.03
+    mpf_max_iterations: int = 50
+    mpf_criterion: str = "auto"
+    mpf_neff_threshold: float = 0.9
+    mpf_grad_ratio_threshold: float = 0.07
+    mpf_adadelta_rho: float = 0.95
+    mpf_adam_beta1: float = 0.9
+    mpf_adam_beta2: float = 0.999
+    mpf_carry_weights: bool = False
+    sir_resample_threshold: float = 0.5
+    sir_resampler: str = "systematic"
+    lorenz96_n_vars: int = 40
+    lorenz96_forcing: float = 8.0
+    cholera_params: str = ""
 
 
-def _field_name(key: str) -> str:
-    return key.replace(".", "_")
+def _key(name: str) -> str:
+    section, _, rest = name.partition("_")
+    return f"{section}.{rest}" if section in SECTIONS else name
+
+
+# config key -> ExperimentConfig field, in field order
+_FIELDS = {_key(f.name): f for f in fields(ExperimentConfig)}
 
 
 def _coerce(key: str, raw: str, line_no: int):
-    kind = _SCHEMA[key][0]
+    kind = _FIELDS[key].type  # the annotation as written: int, float, bool or str
     try:
         if kind == "int":
             return int(raw)
@@ -154,8 +130,8 @@ def _nearest_key_hint(key: str) -> str:
     """Suggestion text for an unknown key, matching dotted keys by their
     tail as well as in full (so ``alpha_bandwith`` points at
     ``kernel.alpha``)."""
-    candidates: dict[str, str] = {k: k for k in _SCHEMA}
-    for full in _SCHEMA:
+    candidates: dict[str, str] = {k: k for k in _FIELDS}
+    for full in _FIELDS:
         tail = full.rpartition(".")[2]
         candidates.setdefault(tail, full)
     close = difflib.get_close_matches(key, candidates.keys(), n=1, cutoff=0.5)
@@ -189,7 +165,7 @@ def loads(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     raw = parse_flat(text)
     values: dict[str, object] = {}
     for key, (value, line_no) in raw.items():
-        if key not in _SCHEMA:
+        if key not in _FIELDS:
             raise ConfigError(
                 f"line {line_no}: unknown key {key!r}{_nearest_key_hint(key)}"
             )
@@ -203,14 +179,12 @@ def loads(text: str, base_dir: Path | None = None) -> ExperimentConfig:
 
     merged: dict[str, object] = {}
     model_defaults = _MODEL_DEFAULTS[model]
-    for key, (_, default) in _SCHEMA.items():
+    for key, f in _FIELDS.items():
         if key in values:
-            merged[_field_name(key)] = values[key]
+            merged[f.name] = values[key]
         elif key in model_defaults:
-            merged[_field_name(key)] = model_defaults[key]
-        elif default is not None:
-            merged[_field_name(key)] = default
-        else:
+            merged[f.name] = model_defaults[key]
+        elif f.default is MISSING:
             raise ConfigError(f"missing required key {key!r}")
 
     cfg = ExperimentConfig(**merged)
@@ -221,13 +195,31 @@ def loads(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     return cfg
 
 
-def _check_section(section: str, build) -> None:
+def _check_section(section: str, build):
     """Run a constructor that checks its own bounds; its ContractViolation
     opens with the field name, so ``section.`` makes that the config key."""
     try:
-        build()
+        return build()
     except ContractViolation as exc:
         raise ConfigError(f"{section}.{exc}") from None
+
+
+def build_model(cfg: ExperimentConfig):
+    """The model ``cfg`` runs; a Lorenz-96 bound, an unreadable cholera
+    parameter file or a ``dt`` that file does not share raises ConfigError."""
+    if cfg.model == "lorenz63":
+        return Lorenz63(dt=cfg.dt)
+    if cfg.model == "lorenz96":
+        return _check_section("lorenz96", lambda: Lorenz96(
+            n_vars=cfg.lorenz96_n_vars, forcing=cfg.lorenz96_forcing, dt=cfg.dt))
+    path = cfg.cholera_params or default_cholera_params_path()
+    try:
+        params = load_cholera_params(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cholera.params {path}: {exc}") from None
+    if abs(params.dt - cfg.dt) > 1e-15:
+        raise ConfigError("dt must match the cholera parameter file (1/20 month)")
+    return CholeraModel(params)
 
 
 def validate(cfg: ExperimentConfig) -> None:
@@ -255,19 +247,7 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("dt, r_variance and kernel.alpha must be > 0")
     if not 0.0 < cfg.mpf_neff_threshold <= 1.0:
         raise ConfigError("mpf.neff_threshold is a fraction of N_p in (0, 1]")
-    if cfg.model == "lorenz96":
-        _check_section("lorenz96", lambda: Lorenz96(
-            n_vars=cfg.lorenz96_n_vars, forcing=cfg.lorenz96_forcing, dt=cfg.dt))
-    if cfg.model == "cholera":
-        path = cfg.cholera_params or default_cholera_params_path()
-        try:
-            params = load_cholera_params(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cholera.params {path}: {exc}") from None
-        if abs(params.dt - cfg.dt) > 1e-15:
-            raise ConfigError("dt must match the cholera parameter file (1/20 month)")
-    n_x = {"lorenz63": Lorenz63.n_x, "cholera": CholeraModel.n_x}.get(
-        cfg.model, cfg.lorenz96_n_vars)
+    n_x = build_model(cfg).n_x
     if cfg.mpf_criterion == "neff" and n_x > KDE_MAX_DIM:
         raise ConfigError(
             f"mpf.criterion = neff needs KDE weights, which are limited to "
@@ -286,11 +266,11 @@ def default_cholera_params_path() -> str:
     return str(resources.files("mpfilter") / "data" / "cholera-default.cfg")
 
 
-def resolve_mapping_config(cfg: ExperimentConfig, n_x: int) -> MappingConfig:
+def resolve_mapping_config(cfg: ExperimentConfig, n_x: int) -> mpf.MappingConfig:
     criterion = cfg.mpf_criterion
     if criterion == "auto":
         criterion = "neff" if n_x <= 3 else "grad_ratio"
-    return MappingConfig(
+    return mpf.MappingConfig(
         optimizer=cfg.mpf_optimizer,
         learning_rate=cfg.mpf_learning_rate,
         max_iterations=cfg.mpf_max_iterations,
@@ -334,8 +314,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def dump_config(cfg: ExperimentConfig) -> str:
     """Canonical flat-text rendering; re-loading it yields an equal config."""
     lines = []
-    for key in _SCHEMA:
-        value = getattr(cfg, _field_name(key))
+    for key, f in _FIELDS.items():
+        value = getattr(cfg, f.name)
         if isinstance(value, bool):
             value = "true" if value else "false"
         if value == "" or value is None:
@@ -353,17 +333,15 @@ def preset_names() -> list[str]:
                   if p.name.endswith(".cfg"))
     out = []
     for name in base:
-        out.extend([name, f"{name}-sir", f"{name}-enkf"])
+        out.extend([name] + [f"{name}-{filt}" for filt in FILTERS[1:]])
     return out
 
 
 def load_preset(name: str) -> ExperimentConfig:
-    override = None
-    base = name
-    for suffix, filt in (("-sir", "sir"), ("-enkf", "enkf")):
-        if name.endswith(suffix):
-            base = name[: -len(suffix)]
-            override = filt
+    base, override = name, None
+    for filt in FILTERS[1:]:
+        if name.endswith(f"-{filt}"):
+            base, override = name[: -len(filt) - 1], filt
     path = _preset_dir() / f"{base}.cfg"
     try:
         text = path.read_text(encoding="utf-8")

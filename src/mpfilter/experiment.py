@@ -19,7 +19,8 @@ from mpfilter.baselines import SirConfig, enkf_cycle, sir_cycle
 from mpfilter.config import (
     ConfigError,
     ExperimentConfig,
-    default_cholera_params_path,
+    build_model,
+    default_cholera_params_path,  # noqa: F401  re-exported for the benchmark
     dump_config,
     parse_flat,
     parse_q_spec,
@@ -29,14 +30,10 @@ from mpfilter.core import Covariance, Ensemble
 from mpfilter.diagnostics import score_cycle, weight_variance
 from mpfilter.kernels import GaussianKernel
 from mpfilter.models import (
-    CholeraModel,
-    Lorenz63,
-    Lorenz96,
     advance_window,
     cholera_observe,
     climatological_variance,
     free_run,
-    load_cholera_params,
 )
 from mpfilter.mpf import MappingConfig, mapping_cycle
 from mpfilter.rng import RandomStream
@@ -90,14 +87,6 @@ class RunResult:
 
     def time_mean_rmse(self, skip: int = 0) -> float:
         return float(np.mean([r.rmse for r in self.records[skip:]]))
-
-
-def build_model(cfg: ExperimentConfig):
-    if cfg.model == "lorenz63":
-        return Lorenz63(dt=cfg.dt)
-    if cfg.model == "lorenz96":
-        return Lorenz96(n_vars=cfg.lorenz96_n_vars, forcing=cfg.lorenz96_forcing, dt=cfg.dt)
-    return CholeraModel(load_cholera_params(cfg.cholera_params or default_cholera_params_path()))
 
 
 def climatology_key(model) -> str:

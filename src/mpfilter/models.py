@@ -96,32 +96,33 @@ class Lorenz96(OdeModel):
         return out
 
 
+def _integrate(model, x: np.ndarray, steps: int, every: int = 0):
+    """``steps`` deterministic single steps from ``x``; returns the final
+    state and copies of the states after every ``every``-th step (none
+    when ``every`` is 0)."""
+    x = np.asarray(x, dtype=float)
+    samples = []
+    # an overflow shows as a non-finite state, reported as a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            x = model.step(x)
+            if not np.all(np.isfinite(x)):
+                raise IntegrationBlowupError(model.name, i)
+            if every and i % every == 0:
+                samples.append(x.copy())
+    return x, samples
+
+
 def advance_window(model, x: np.ndarray, steps: int) -> np.ndarray:
     """Compose ``steps`` deterministic single steps (ODE models)."""
     if steps < 1:
         raise ContractViolation("steps must be >= 1")
-    x = np.asarray(x, dtype=float)
-    # an overflow shows as a non-finite state, reported as a blow-up
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            x = model.step(x)
-            if not np.all(np.isfinite(x)):
-                raise IntegrationBlowupError(model.name, i + 1)
-    return x
+    return _integrate(model, x, steps)[0]
 
 
 def free_run(model, x0: np.ndarray, steps: int, sample_every: int = 1) -> np.ndarray:
     """Deterministic trajectory sampled every ``sample_every`` steps."""
-    x = np.asarray(x0, dtype=float)
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            x = model.step(x)
-            if not np.all(np.isfinite(x)):
-                raise IntegrationBlowupError(model.name, i + 1)
-            if (i + 1) % sample_every == 0:
-                out.append(x.copy())
-    return np.asarray(out)
+    return np.asarray(_integrate(model, x0, steps, sample_every)[1])
 
 
 def climatological_variance(
@@ -227,17 +228,6 @@ class CholeraModel:
             self.clamp_count += int(np.count_nonzero(neg))
             new[:5] = np.maximum(new[:5], 0.0)
         return new, p.m_c * i * dt
-
-    def step(
-        self, x: np.ndarray, t: float, rng: np.random.Generator | None
-    ) -> tuple[np.ndarray, float]:
-        """One Euler-Maruyama step of one state; returns the new state and
-        the cholera-mortality increment of this step."""
-        dw = 0.0 if rng is None else float(rng.standard_normal()) * np.sqrt(self.dt)
-        new, dc = self._em_step(np.asarray(x, dtype=float), t, dw)
-        if not np.all(np.isfinite(new)):
-            raise IntegrationBlowupError(self.name, 1)
-        return new, dc
 
     def _window(self, x: np.ndarray, t0: float, z: np.ndarray):
         """Advance ``x`` (laid out as in ``_em_step``) one step per row of

@@ -1,9 +1,13 @@
 """Config parsing, validation, presets and the canonical dump round-trip."""
 
+from dataclasses import fields
+
 import pytest
 
 from mpfilter.cli import main
 from mpfilter.config import (
+    _MODEL_DEFAULTS,
+    MODELS,
     ConfigError,
     dump_config,
     load_config,
@@ -173,3 +177,58 @@ class TestRoundTrip:
                             "cholera.params = params.cfg\n")
         cfg = load_config(cfg_file)
         assert cfg.cholera_params == str(params.resolve())
+
+
+class TestDerivedSchema:
+    # every key, each set away from its default (and from the Lorenz-63
+    # model defaults of MINIMAL)
+    EVERY_KEY = """
+model = lorenz96
+filter = sir
+seed = 7
+n_particles = 11
+cycles = 3
+cycle_steps = 4
+dt = 0.002
+obs_operator = every2
+r_variance = 0.25
+q_spec = diag:0.1
+spinup_steps = 30
+output = stem
+trace = true
+kernel.alpha = 2.5
+mpf.optimizer = adam
+mpf.learning_rate = 0.01
+mpf.max_iterations = 7
+mpf.criterion = max_iter
+mpf.neff_threshold = 0.5
+mpf.grad_ratio_threshold = 0.2
+mpf.adadelta_rho = 0.9
+mpf.adam_beta1 = 0.8
+mpf.adam_beta2 = 0.99
+mpf.carry_weights = true
+sir.resample_threshold = 0.3
+sir.resampler = multinomial
+lorenz96.n_vars = 12
+lorenz96.forcing = 6.5
+cholera.params = params.cfg
+"""
+
+    def test_every_key_round_trips(self):
+        cfg = loads(self.EVERY_KEY)
+        default = loads(MINIMAL)
+        for f in fields(cfg):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        text = dump_config(cfg)
+        assert text.split() == self.EVERY_KEY.split()
+        assert loads(text) == cfg
+
+    def test_model_defaults_are_config_keys(self):
+        for model, defaults in _MODEL_DEFAULTS.items():
+            base = f"model = {model}\nseed = 1\n"
+            for key, value in defaults.items():
+                assert loads(base + f"{key} = {value}\n") == loads(base), key
+
+    def test_every_model_loads_from_defaults(self):
+        for model in MODELS:
+            assert loads(f"model = {model}\nseed = 1\n").model == model

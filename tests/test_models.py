@@ -174,7 +174,7 @@ class TestCholeraModel:
             transmission=PiecewiseSeries(np.array([0.0]), np.array([0.0])),
         )
         x = np.array([0.6, 0.02, 0.1, 0.1, 0.1, 0.0])
-        new, dc = model.step(x, 0.0, np.random.default_rng(0))
+        new, dc = model.advance(x, 0.0, 1, np.random.default_rng(0))
         np.testing.assert_allclose(new[:5], x[:5], atol=1e-15)
         assert new[5] != 0.0  # T still random-walks
         assert dc == 0.0
@@ -196,19 +196,19 @@ class TestCholeraModel:
         x = np.array([0.6, 0.02, 0.15, 0.13, 0.1, 0.0])
         total0 = x[:5].sum()
         for i in range(200):
-            x, _ = model.step(x, i * model.dt, None)
+            x, _ = model.advance(x, i * model.dt, 1, None)
             assert abs(x[:5].sum() - total0) < 1e-10
 
     def test_mortality_increment(self):
         model = make_cholera(eps=0.0)
         x = np.array([0.6, 0.02, 0.1, 0.1, 0.1, 0.0])
-        _, dc = model.step(x, 0.0, None)
+        _, dc = model.advance(x, 0.0, 1, None)
         assert dc == pytest.approx(0.05 * 0.02 * model.dt, rel=1e-12)
 
     def test_negative_clamp_counted(self):
         model = make_cholera(gamma=1000.0, eps=0.0)  # drains I below zero
         x = np.array([0.0, 0.02, 0.0, 0.0, 0.0, 0.0])
-        new, _ = model.step(x, 0.0, None)
+        new, _ = model.advance(x, 0.0, 1, None)
         assert model.clamp_count >= 1
         assert np.all(new[:5] >= 0.0)
 
