@@ -78,21 +78,18 @@ def importance_report(
     y: np.ndarray,
     log_proposal: np.ndarray,
     route: str,
-    log_psi: np.ndarray | None = None,
+    mixture: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> WeightReport:
     """Normalized importance weights from log proposal densities.
 
-    ``log_psi``, when given, is ``prior.log_psi(states)`` computed already.
+    ``mixture``, when given, is ``prior.evaluate(states)`` computed already.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     log_proposal = np.asarray(log_proposal, dtype=float)
     if log_proposal.shape != (states.shape[0],):
         raise ContractViolation("one proposal density per particle required")
-    log_w = (
-        np.atleast_1d(log_likelihood(ssm, states, y))
-        + prior.log_density(states, log_psi)
-        - log_proposal
-    )
+    _, log_prior = prior.evaluate(states) if mixture is None else mixture
+    log_w = np.atleast_1d(log_likelihood(ssm, states, y)) + log_prior - log_proposal
     top = np.max(log_w)
     if not np.isfinite(top):
         raise NumericalDegeneracyError(f"importance log weights degenerate (max {top})")

@@ -5,10 +5,11 @@ model error covariance.  The filter needs one pairwise product of the
 kernel, the Gram matrix (:meth:`GaussianKernel.interactions`, from
 ``A.pairwise_quadratic_form``); the KL gradient forms both its
 attraction and its repulsion from it.  The pointwise value and
-derivatives are the closed forms the tests check that against.
-Derivatives follow the source-argument convention: gradients are taken
-with respect to the *first* argument (the source particle), so that the
-kernel term of the KL gradient acts as a repulsive force.
+derivatives, the closed forms the tests check the Gram matrix and the
+repulsion against, live in ``tests/oracles.py``.  Derivatives follow the
+source-argument convention: gradients are taken with respect to the
+*first* argument (the source particle), so that the kernel term of the KL
+gradient acts as a repulsive force.
 """
 
 from __future__ import annotations
@@ -31,33 +32,6 @@ class GaussianKernel:
         if alpha <= 0.0:
             raise ContractViolation("kernel alpha must be > 0")
         return cls(bandwidth=q.scaled(alpha))
-
-    @property
-    def dim(self) -> int:
-        return self.bandwidth.dim
-
-    def __call__(self, x, xp) -> float:
-        d = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
-        return float(np.exp(-0.5 * self.bandwidth.quadratic_form(d)))
-
-    def grad_source(self, xl, x) -> np.ndarray:
-        """Gradient of K with respect to its first argument, at ``(xl, x)``.
-
-        Equals ``-A^{-1} (xl - x) K(xl, x)``.
-        """
-        d = np.asarray(xl, dtype=float) - np.asarray(x, dtype=float)
-        k = np.exp(-0.5 * self.bandwidth.quadratic_form(d))
-        return -self.bandwidth.solve(d) * k
-
-    def cross_hessian(self, xl, xj) -> np.ndarray:
-        """Mixed second derivative ``d^2 K / dx_j dx_l`` at ``(xl, xj)``.
-
-        Equals ``(A^{-1} - A^{-1} d d^T A^{-1}) K`` with ``d = xl - xj``.
-        """
-        d = np.asarray(xl, dtype=float) - np.asarray(xj, dtype=float)
-        k = np.exp(-0.5 * self.bandwidth.quadratic_form(d))
-        sd = self.bandwidth.solve(d)
-        return (self.bandwidth.solve(np.eye(self.dim)) - np.outer(sd, sd)) * k
 
     def interactions(self, states: np.ndarray) -> np.ndarray:
         """The pairwise pass over a particle set: the Gram matrix

@@ -10,6 +10,7 @@ particle ``j`` draws any model noise from ``rngs[j]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -265,8 +266,13 @@ class CholeraModel:
         return self._window(x, t, z)
 
 
-def load_cholera_params(path_or_text) -> CholeraParams:
-    """Read SI3R parameters from a flat ``key = value`` file.
+def load_cholera_params(path) -> CholeraParams:
+    """Read SI3R parameters from the flat ``key = value`` file at ``path``."""
+    return parse_cholera_params(Path(path).read_text(encoding="utf-8"))
+
+
+def parse_cholera_params(text: str) -> CholeraParams:
+    """Parse SI3R parameters from flat ``key = value`` text.
 
     Tables use ``time:value`` pairs, e.g.
     ``lambda_table = 0:0.02, 3:0.08, 6:0.03``; ``lambda_period`` (months)
@@ -275,11 +281,6 @@ def load_cholera_params(path_or_text) -> CholeraParams:
     """
     from mpfilter.config import ConfigError, parse_flat
 
-    text = path_or_text
-    if "\n" not in str(path_or_text) and "=" not in str(path_or_text):
-        from pathlib import Path
-
-        text = Path(path_or_text).read_text(encoding="utf-8")
     raw = {k: v for k, (v, _) in parse_flat(text).items()}
 
     def table(key: str, default: str) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,9 @@ with a synchronous (Jacobi-style) batch update, until a convergence
 criterion or the iteration cap fires.  For the Gaussian kernel both sums
 are matrix products with the Gram matrix G (the matrix form of SVGD):
 attraction ``G^T g`` and repulsion ``A^{-1} (G^T X - colsum(G) * X)``.
-The O(N_p^2) work -- the Gram matrix and the mixture log-psi -- is done
-once per set of particle positions and shared by the gradient at those
+The O(N_p^2) work -- the Gram matrix and one evaluation of the mixture
+(its responsibilities and log density from one softmax) -- is done once
+per set of particle positions and shared by the gradient at those
 positions, the N_eff rule after the update that produced them and the
 cycle's closing weight report.
 """
@@ -176,26 +177,16 @@ def kl_gradient_field(
 def check_convergence(
     cfg: MappingConfig,
     grad_norm_trace: list[float],
-    neff_trace: list[float] | None = None,
-    n_particles: int | None = None,
+    neff_trace: list[float],
+    n_particles: int,
 ) -> bool:
-    """Stopping decision after the latest iteration."""
-    if not grad_norm_trace:
-        raise ContractViolation("convergence check needs a nonempty trace")
-    if cfg.criterion == "max_iter":
-        return len(grad_norm_trace) >= cfg.max_iterations
+    """Stopping decision after the latest iteration under the ``neff`` or
+    ``grad_ratio`` criterion; ``mapping_cycle`` applies the iteration cap."""
     if cfg.criterion == "grad_ratio":
         initial = grad_norm_trace[0]
         if initial == 0.0:
             return True
         return grad_norm_trace[-1] / initial < cfg.grad_ratio_threshold
-    # neff criterion
-    if neff_trace is None or not neff_trace:
-        raise ContractViolation(
-            "neff criterion requires per-iteration weight diagnostics"
-        )
-    if n_particles is None:
-        raise ContractViolation("neff criterion requires the particle count")
     return neff_trace[-1] >= cfg.resolved_neff_threshold(n_particles)
 
 
@@ -213,14 +204,14 @@ class MappingResult:
 
 def _pairwise_pass(kernel: GaussianKernel, prior: PriorMixture, states: np.ndarray):
     """The O(N_p^2) quantities at one set of positions: the kernel Gram
-    matrix and the mixture log-psi."""
-    return kernel.interactions(states), prior.log_psi(states)
+    matrix and the mixture evaluation (responsibilities, log density)."""
+    return kernel.interactions(states), prior.evaluate(states)
 
 
 def _kde_report(ssm, prior, kernel, states, y, pairs) -> WeightReport:
-    gram, log_psi = pairs
+    gram, mixture = pairs
     log_q = kde_log_proposal(kernel, states, gram=gram)
-    return importance_report(ssm, prior, states, y, log_q, route="kde", log_psi=log_psi)
+    return importance_report(ssm, prior, states, y, log_q, route="kde", mixture=mixture)
 
 
 @contextmanager
@@ -264,8 +255,8 @@ def mapping_cycle(
         with _aborts_at(cycle, i):
             if pairs is None:
                 pairs = _pairwise_pass(kernel, prior, states)
-            gram, log_psi = pairs
-            logp_grads = log_posterior_grad(ssm, prior, states, y, log_psi=log_psi)
+            gram, mixture = pairs
+            logp_grads = log_posterior_grad(ssm, prior, states, y, mixture=mixture)
             field_vals = kl_gradient_field(kernel, states, logp_grads, gram)
         bad = ~np.all(np.isfinite(field_vals), axis=-1)
         if np.any(bad):
@@ -286,9 +277,7 @@ def mapping_cycle(
             neffs.append(neff)
         if diag_sink is not None:
             diag_sink(iterations, grad_norms[-1], neff)
-        if cfg.criterion != "max_iter" and check_convergence(
-            cfg, grad_norms, neffs if want_neff else None, n_p
-        ):
+        if cfg.criterion != "max_iter" and check_convergence(cfg, grad_norms, neffs, n_p):
             break
 
     # under the neff rule the last report already scored the final states

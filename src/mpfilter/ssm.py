@@ -3,10 +3,12 @@ previous ensemble, and the gradient of the log sequential posterior.
 
 The target density per assimilation cycle is the Gaussian-mixture prior
 (centered on the advanced previous particles, covariance Q) times the
-Gaussian observation likelihood.  The log-posterior value and gradient are
-known up to the normalization constant, which the mapping never needs.
-Mixture responsibilities use log-sum-exp throughout; at 40 dimensions the
-raw exponentials underflow.
+Gaussian observation likelihood.  The mapping needs only the gradient of
+the log posterior, and the importance report the mixture's log density;
+:meth:`PriorMixture.evaluate` gives both the responsibilities and that log
+density from one max-shifted softmax (at 40 dimensions the raw exponentials
+underflow), once per set of particle positions.  The log-posterior value
+itself is a test oracle, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,13 +22,6 @@ from mpfilter.core import ContractViolation, Covariance
 
 class NumericalDegeneracyError(RuntimeError):
     """Mixture responsibilities became non-finite even after log-sum-exp."""
-
-
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    with np.errstate(divide="ignore"):  # log(0) if all -inf; callers check
-        return np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis)
 
 
 @dataclass
@@ -98,31 +93,24 @@ class PriorMixture:
             self.log_weights = np.log(self.weights)
 
     def log_psi(self, x: np.ndarray) -> np.ndarray:
-        """Per-component log weights ``log w_m - 1/2 ||x - c_m||^2_Q``; the
-        methods below take it precomputed as ``log_psi`` when given."""
+        """Per-component log weights ``log w_m - 1/2 ||x - c_m||^2_Q``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self.log_weights - 0.5 * self.q.pairwise_quadratic_form(x, self.centers)
 
-    def log_density(self, x: np.ndarray, log_psi: np.ndarray | None = None) -> np.ndarray:
-        """Unnormalized mixture log density (batched)."""
-        out = _logsumexp(self.log_psi(x) if log_psi is None else log_psi, axis=1)
-        return out if np.asarray(x).ndim > 1 else float(out[0])
-
-    def responsibilities(
-        self, x: np.ndarray, log_psi: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Softmax responsibilities of each component at ``x`` (batched)."""
-        lp = self.log_psi(x) if log_psi is None else log_psi
-        lp = lp - np.max(lp, axis=1, keepdims=True)
-        p = np.exp(lp)
-        norm = p.sum(axis=1, keepdims=True)
-        if not np.all(np.isfinite(norm)) or np.any(norm == 0.0):
-            bad = int(np.argmin(np.where(np.isfinite(norm[:, 0]), norm[:, 0], -1.0)))
-            raise NumericalDegeneracyError(
-                f"mixture responsibilities underflowed at particle {bad}"
-            )
-        out = p / norm
-        return out if np.asarray(x).ndim > 1 else out[0]
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The mixture at each row of ``x`` from one softmax of its log-psi:
+        the responsibilities ``p / s`` (N_x, N_c) and the unnormalized log
+        density ``log(s) + top`` (N_x,), with ``p = exp(log_psi - top)``,
+        ``s`` its row sums and ``top`` the row maximum (0 for a row whose
+        components are all ``-inf``; its log density is ``-inf`` and its
+        responsibilities NaN, which :func:`log_posterior_grad` rejects)."""
+        log_psi = self.log_psi(x)
+        top = np.max(log_psi, axis=1, keepdims=True)
+        top = np.where(np.isfinite(top), top, 0.0)
+        p = np.exp(log_psi - top)
+        s = p.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: all -inf
+            return p / s, np.log(s[:, 0]) + top[:, 0]
 
 
 def log_likelihood(ssm: StateSpaceModel, x: np.ndarray, y: np.ndarray):
@@ -133,28 +121,24 @@ def log_likelihood(ssm: StateSpaceModel, x: np.ndarray, y: np.ndarray):
     return out if x.ndim > 1 else float(out)
 
 
-def log_posterior_unnormalized(
-    ssm: StateSpaceModel, prior: PriorMixture, x: np.ndarray, y: np.ndarray
-):
-    """Log of the sequential posterior up to an additive constant."""
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    out = prior.log_density(x_arr) + np.atleast_1d(log_likelihood(ssm, x_arr, y))
-    return out if np.asarray(x).ndim > 1 else float(out[0])
-
-
 def log_posterior_grad(
     ssm: StateSpaceModel, prior: PriorMixture, x: np.ndarray, y: np.ndarray,
-    log_psi: np.ndarray | None = None,
+    mixture: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Gradient of the log sequential posterior (batched over particles).
 
     ``H^T R^{-1} (y - H x) - Q^{-1} (x - sum_m resp_m c_m)`` where the
     responsibilities are the softmax of the mixture components at ``x``
-    (from ``log_psi = prior.log_psi(x)`` when it is given).
+    (read from ``mixture = prior.evaluate(x)`` when it is given).
     """
     x_in = np.asarray(x, dtype=float)
     x_arr = np.atleast_2d(x_in)
-    resp = prior.responsibilities(x_arr, log_psi)
+    resp, log_density = prior.evaluate(x_arr) if mixture is None else mixture
+    if np.any(log_density == -np.inf):
+        bad = int(np.argmin(log_density))
+        raise NumericalDegeneracyError(
+            f"mixture responsibilities underflowed at particle {bad}"
+        )
     centers_bar = resp @ prior.centers
     innov = np.asarray(y, dtype=float) - ssm.observe(x_arr)
     grad = ssm.r.solve(innov) @ ssm.obs_matrix - ssm.q.solve(x_arr - centers_bar)

@@ -7,8 +7,9 @@ as used when ``src/`` or ``perfbench/`` (its tests excluded) names it outside
 its own definition: as a variable, an attribute, or a dotted string such as
 the benchmark's ``"GaussianKernel.interactions"`` trace targets.  A class's
 ``__call__`` counts as used when a name annotated with that class is called.
-Imports, ``__all__`` and docstrings do not count.  Names only tests call are
-either deleted or listed in ``ORACLES`` with the reason a test needs them.
+Imports, ``__all__`` and docstrings do not count.  There is no allowlist: a
+reference form only tests need (a pointwise kernel value or derivative, the
+log posterior) lives in ``tests/oracles.py``, not in ``src/``.
 """
 
 import ast
@@ -18,17 +19,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mpfilter"
 CALLERS = (ROOT / "src", ROOT / "perfbench")
-
-ORACLES = {
-    "GaussianKernel.__call__":
-        "pointwise kernel value: the reference the Gram and KDE tests compare against",
-    "GaussianKernel.grad_source":
-        "pointwise kernel gradient: the repulsion oracle of acceptance criterion 7",
-    "GaussianKernel.cross_hessian":
-        "mixed second derivative, finite-difference checked in acceptance criterion 7",
-    "log_posterior_unnormalized":
-        "log target whose finite differences check log_posterior_grad (criterion 7)",
-}
 
 DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
@@ -141,15 +131,6 @@ def referenced_names() -> set[str]:
 
 def test_every_public_name_has_a_program_caller():
     used = referenced_names()
-    unused = sorted(q for q, bare in public_names().items()
-                    if bare not in used and q not in ORACLES)
+    unused = sorted(q for q, bare in public_names().items() if bare not in used)
     assert unused == [], f"public names only tests use: {unused}"
 
-
-def test_oracles_exist_and_are_test_only():
-    names = public_names()
-    used = referenced_names()
-    for qualified in ORACLES:
-        assert qualified in names, f"{qualified} is gone; drop it from ORACLES"
-        assert names[qualified] not in used, (
-            f"{qualified} now has a program caller; drop it from ORACLES")

@@ -244,6 +244,18 @@ class TestCliCommands:
         assert main(["check", str(cfg)]) == 1
         assert "invalid" in capsys.readouterr().err
 
+    def test_check_cholera_params_under_equals_directory(self, tmp_path, capsys):
+        # cholera.params is always a path, even one whose directory name
+        # contains "=" like a line of parameter text
+        folder = tmp_path / "a=b"
+        folder.mkdir()
+        with open(default_cholera_params_path(), encoding="utf-8") as f:
+            (folder / "params.cfg").write_text(f.read())
+        cfg = folder / "cholera.cfg"
+        cfg.write_text(f"model = cholera\nseed = 1\ncholera.params = {folder / 'params.cfg'}\n")
+        assert main(["check", str(cfg)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+
     def test_run_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL)

@@ -1,6 +1,6 @@
-"""Gaussian kernel values and derivatives against closed forms and finite
-differences, and the Gram matrix against pairwise evaluation and (to
-rounding) the solve-then-contract form it replaced."""
+"""The pointwise kernel oracles (``tests/oracles.py``) against closed forms
+and finite differences, and the Gram matrix against pairwise evaluation and
+(to rounding) the solve-then-contract form it replaced."""
 
 import warnings
 
@@ -9,6 +9,7 @@ import pytest
 
 from mpfilter.core import ContractViolation, Covariance
 from mpfilter.kernels import GaussianKernel
+from oracles import cross_hessian, grad_source, kernel_value
 
 
 def kernel_1d(a=1.0, alpha=1.0):
@@ -22,25 +23,26 @@ def random_kernel(rng, dim):
 
 class TestEval:
     def test_identity(self):
-        k = kernel_1d()
+        bw = kernel_1d().bandwidth
         x = np.array([3.7])
-        assert k(x, x) == 1.0
+        assert kernel_value(bw, x, x) == 1.0
 
     def test_hand_value(self):
-        k = kernel_1d()
-        assert k([0.0], [1.0]) == pytest.approx(np.exp(-0.5), rel=1e-12)
+        bw = kernel_1d().bandwidth
+        assert kernel_value(bw, [0.0], [1.0]) == pytest.approx(np.exp(-0.5), rel=1e-12)
 
     def test_monotone_decay(self):
-        k = kernel_1d()
-        vals = [k([0.0], [d]) for d in (0.5, 1.0, 2.0, 5.0, 10.0)]
+        bw = kernel_1d().bandwidth
+        vals = [kernel_value(bw, [0.0], [d]) for d in (0.5, 1.0, 2.0, 5.0, 10.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-20
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
-        k = random_kernel(rng, 3)
+        bw = random_kernel(rng, 3).bandwidth
         a, b = rng.standard_normal((2, 3))
-        assert k(a, b) == pytest.approx(k(b, a), rel=1e-14)
+        assert kernel_value(bw, a, b) == pytest.approx(kernel_value(bw, b, a),
+                                                       rel=1e-14)
 
     def test_bandwidth_is_alpha_times_q(self):
         q = Covariance.diagonal([2.0, 3.0])
@@ -54,27 +56,27 @@ class TestEval:
     def test_alpha_increases_value(self):
         q = Covariance.diagonal([1.0, 1.0])
         x, xp = np.array([0.0, 0.0]), np.array([1.0, 2.0])
-        k1 = GaussianKernel.from_model_error(q, 1.0)(x, xp)
-        k2 = GaussianKernel.from_model_error(q, 5.0)(x, xp)
+        k1 = kernel_value(GaussianKernel.from_model_error(q, 1.0).bandwidth, x, xp)
+        k2 = kernel_value(GaussianKernel.from_model_error(q, 5.0).bandwidth, x, xp)
         assert k2 > k1
 
 
 class TestGradSource:
     def test_coincident_zero(self):
-        k = kernel_1d()
-        np.testing.assert_array_equal(k.grad_source([2.0], [2.0]), [0.0])
+        bw = kernel_1d().bandwidth
+        np.testing.assert_array_equal(grad_source(bw, [2.0], [2.0]), [0.0])
 
     def test_hand_value(self):
         # d/dx_l exp(-(x_l-x)^2/2) at (0, 1) = -(0-1) e^{-1/2} = +e^{-1/2}
-        k = kernel_1d()
-        g = k.grad_source([0.0], [1.0])
+        bw = kernel_1d().bandwidth
+        g = grad_source(bw, [0.0], [1.0])
         assert g[0] == pytest.approx(np.exp(-0.5), rel=1e-12)
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(4)
-        k = random_kernel(rng, 3)
+        bw = random_kernel(rng, 3).bandwidth
         a, b = rng.standard_normal((2, 3))
-        np.testing.assert_allclose(k.grad_source(a, b), -k.grad_source(b, a),
+        np.testing.assert_allclose(grad_source(bw, a, b), -grad_source(bw, b, a),
                                    atol=1e-14)
 
     def test_finite_difference_oracle(self):
@@ -82,27 +84,28 @@ class TestGradSource:
         h = 1e-6
         for _ in range(100):
             dim = int(rng.integers(1, 5))
-            k = random_kernel(rng, dim)
+            bw = random_kernel(rng, dim).bandwidth
             xl, x = rng.standard_normal((2, dim))
-            grad = k.grad_source(xl, x)
+            grad = grad_source(bw, xl, x)
             fd = np.empty(dim)
             for i in range(dim):
                 e = np.zeros(dim)
                 e[i] = h
-                fd[i] = (k(xl + e, x) - k(xl - e, x)) / (2 * h)
+                fd[i] = (kernel_value(bw, xl + e, x)
+                         - kernel_value(bw, xl - e, x)) / (2 * h)
             scale = max(np.linalg.norm(fd), 1e-12)
             assert np.linalg.norm(grad - fd) / scale < 1e-5
 
 
 class TestCrossHessian:
     def test_coincident_1d(self):
-        k = kernel_1d()
-        np.testing.assert_allclose(k.cross_hessian([0.0], [0.0]), [[1.0]])
+        bw = kernel_1d().bandwidth
+        np.testing.assert_allclose(cross_hessian(bw, [0.0], [0.0]), [[1.0]])
 
     def test_hand_value_zero(self):
         # (1 - d^2) K vanishes at |d| = 1 for unit bandwidth
-        k = kernel_1d()
-        np.testing.assert_allclose(k.cross_hessian([0.0], [1.0]), [[0.0]],
+        bw = kernel_1d().bandwidth
+        np.testing.assert_allclose(cross_hessian(bw, [0.0], [1.0]), [[0.0]],
                                    atol=1e-15)
 
     def test_finite_difference_oracle(self):
@@ -111,14 +114,15 @@ class TestCrossHessian:
         h = 1e-6
         for _ in range(100):
             dim = int(rng.integers(1, 4))
-            k = random_kernel(rng, dim)
+            bw = random_kernel(rng, dim).bandwidth
             xl, xj = rng.standard_normal((2, dim))
-            hess = k.cross_hessian(xl, xj)
+            hess = cross_hessian(bw, xl, xj)
             fd = np.empty((dim, dim))
             for i in range(dim):
                 e = np.zeros(dim)
                 e[i] = h
-                fd[:, i] = (k.grad_source(xl, xj + e) - k.grad_source(xl, xj - e)) / (2 * h)
+                fd[:, i] = (grad_source(bw, xl, xj + e)
+                            - grad_source(bw, xl, xj - e)) / (2 * h)
             scale = max(np.linalg.norm(fd), 1e-10)
             assert np.linalg.norm(hess - fd) / scale < 1e-5
 
@@ -140,7 +144,8 @@ class TestGram:
         gram = k.interactions(states)
         for l in range(5):
             for j in range(5):
-                assert gram[l, j] == pytest.approx(k(states[l], states[j]), rel=1e-12)
+                assert gram[l, j] == pytest.approx(
+                    kernel_value(k.bandwidth, states[l], states[j]), rel=1e-12)
 
     @pytest.mark.parametrize("isotropic", [False, True])
     def test_matches_solve_then_contract(self, isotropic):

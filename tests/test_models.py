@@ -16,7 +16,7 @@ from mpfilter.models import (
     cholera_observe,
     climatological_variance,
     free_run,
-    load_cholera_params,
+    parse_cholera_params,
     rk4_step,
 )
 
@@ -261,8 +261,7 @@ population_table = 0:1.0
 """
 
     def test_parses(self):
-        params = load_cholera_params(self.TEXT).params if hasattr(
-            load_cholera_params(self.TEXT), "params") else load_cholera_params(self.TEXT)
+        params = parse_cholera_params(self.TEXT)
         assert params.gamma == 1.5
         assert params.transmission(6.0) == pytest.approx(0.10)
         assert params.transmission(18.0) == pytest.approx(0.10)  # periodic
@@ -270,9 +269,9 @@ population_table = 0:1.0
     def test_missing_key_rejected(self):
         from mpfilter.config import ConfigError
         with pytest.raises(ConfigError):
-            load_cholera_params("gamma = 1.0\n")
+            parse_cholera_params("gamma = 1.0\n")
 
     def test_unknown_key_rejected(self):
         from mpfilter.config import ConfigError
         with pytest.raises(ConfigError):
-            load_cholera_params(self.TEXT + "bogus = 1\n")
+            parse_cholera_params(self.TEXT + "bogus = 1\n")

@@ -25,6 +25,7 @@ from mpfilter.mpf import (
     mapping_cycle,
 )
 from mpfilter.ssm import PriorMixture, StateSpaceModel, log_posterior_grad
+from oracles import grad_source
 
 
 def kernel_1d():
@@ -128,6 +129,24 @@ class TestMatrixFormRepulsion:
         old = tensor_form_field(kernel, states, grads)
         assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
+    @pytest.mark.parametrize("n_x", [1, 3, 40])
+    def test_repulsion_is_summed_kernel_gradient(self, n_x):
+        # on a flat target the field is the repulsion alone, which must be
+        # -(1/N_p) sum_l grad_source K(x_l, x_j), the oracle acceptance
+        # criterion 7 checks by finite differences; the spread keeps the
+        # whitened pair distances of order 1 at any n_x
+        rng = np.random.default_rng(n_x)
+        variances, alpha = rng.uniform(0.2, 2.0, size=n_x), float(rng.uniform(0.5, 20.0))
+        kernel = GaussianKernel.from_model_error(Covariance.diagonal(variances), alpha)
+        states = 5.0 + np.sqrt(alpha * variances / n_x) * rng.standard_normal((12, n_x))
+        field = kl_gradient_field(kernel, states, np.zeros_like(states))
+        oracle = np.array([
+            -np.mean([grad_source(kernel.bandwidth, xl, xj) for xl in states], axis=0)
+            for xj in states])
+        assert np.max(np.abs(oracle)) > 1e-3
+        np.testing.assert_allclose(field, oracle, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(oracle)))
+
 
 class TestOptimizers:
     def test_sgd_hand_value(self):
@@ -212,18 +231,9 @@ class TestMappingConfig:
 
 
 class TestCheckConvergence:
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ContractViolation):
-            check_convergence(MappingConfig(criterion="max_iter"), [])
-
-    def test_max_iter(self):
-        cfg = MappingConfig(criterion="max_iter", max_iterations=3)
-        assert not check_convergence(cfg, [1.0, 1.0])
-        assert check_convergence(cfg, [1.0, 1.0, 1.0])
-
     def test_grad_ratio_zero_initial(self):
         cfg = MappingConfig(criterion="grad_ratio")
-        assert check_convergence(cfg, [0.0])
+        assert check_convergence(cfg, [0.0], [], 1)
 
     def test_grad_ratio_geometric_decay(self):
         cfg = MappingConfig(criterion="grad_ratio", max_iterations=1000)
@@ -231,7 +241,7 @@ class TestCheckConvergence:
         stop_at = None
         for i in range(60):
             trace.append(0.9**i)
-            if check_convergence(cfg, trace):
+            if check_convergence(cfg, trace, [], 1):
                 stop_at = i
                 break
         assert stop_at == 26  # 0.9^26 ~ 0.0646 < 0.07
@@ -240,8 +250,6 @@ class TestCheckConvergence:
         cfg = MappingConfig(criterion="neff")
         assert check_convergence(cfg, [1.0], neff_trace=[20.0], n_particles=20)
         assert not check_convergence(cfg, [1.0], neff_trace=[17.0], n_particles=20)
-        with pytest.raises(ContractViolation):
-            check_convergence(cfg, [1.0], neff_trace=None, n_particles=20)
 
 
 class TestMappingCycle:
@@ -340,8 +348,7 @@ def unfused_mapping(ssm, prior, forecast, y, kernel, cfg):
             log_q = kde_log_proposal(kernel, states)
             neffs.append(importance_report(ssm, prior, states, y, log_q,
                                            route="kde").n_eff)
-        if cfg.criterion != "max_iter" and check_convergence(
-                cfg, grad_norms, neffs or None, n_p):
+        if cfg.criterion != "max_iter" and check_convergence(cfg, grad_norms, neffs, n_p):
             break
     report = None
     if n_x <= KDE_MAX_DIM:
@@ -392,7 +399,7 @@ class TestSharedPairwisePass:
         # each iteration's gradient needs the pass at its positions; the
         # final positions need one more only for the report, and under the
         # neff rule that one is the last iteration's
-        calls = {"interactions": 0, "log_psi": 0}
+        calls = {"interactions": 0, "log_psi": 0, "evaluate": 0}
 
         def counted(cls, name):
             original = getattr(cls, name)
@@ -404,13 +411,15 @@ class TestSharedPairwisePass:
 
         counted(GaussianKernel, "interactions")
         counted(PriorMixture, "log_psi")
+        counted(PriorMixture, "evaluate")
         ssm, prior, forecast, y, kernel = lorenz_like_cycle(n_x)
         cfg = MappingConfig(criterion=criterion, learning_rate=0.2,
                             neff_threshold=14.0, max_iterations=40)
         result = mapping_cycle(ssm, prior, forecast, y, kernel, cfg)
         assert result.iterations >= 2
         expected = result.iterations + closing_passes
-        assert calls == {"interactions": expected, "log_psi": expected}
+        assert calls == {"interactions": expected, "log_psi": expected,
+                         "evaluate": expected}
 
 
 def difference_tensor_form(self, a, b):

@@ -1,5 +1,6 @@
 """Likelihood, mixture prior and log-posterior gradient tests, including the
-finite-difference oracle for the gradient."""
+finite-difference oracle for the gradient and the one mixture evaluation
+against the separate log-sum-exp and softmax it replaced."""
 
 import warnings
 
@@ -9,12 +10,13 @@ import pytest
 from mpfilter.core import ContractViolation, Covariance
 from mpfilter.models import Lorenz63
 from mpfilter.ssm import (
+    NumericalDegeneracyError,
     PriorMixture,
     StateSpaceModel,
     log_likelihood,
     log_posterior_grad,
-    log_posterior_unnormalized,
 )
+from oracles import log_posterior_unnormalized, logsumexp, softmax_responsibilities
 
 
 def make_ssm(n_x=1, n_y=None, q=1.0, r=1.0, h=None):
@@ -69,7 +71,7 @@ class TestPriorMixture:
     def test_responsibilities_probability_vector(self):
         rng = np.random.default_rng(3)
         prior = PriorMixture(rng.standard_normal((6, 3)), Covariance.isotropic(1.0, 3))
-        resp = prior.responsibilities(rng.standard_normal((10, 3)))
+        resp, _ = prior.evaluate(rng.standard_normal((10, 3)))
         assert np.all(resp >= 0.0)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
 
@@ -81,7 +83,7 @@ class TestPriorMixture:
         x = rng.standard_normal(2)
         direct = np.log(np.mean(
             [np.exp(-0.5 * q.quadratic_form(x - c)) for c in centers]))
-        assert prior.log_density(x) == pytest.approx(direct, rel=1e-12)
+        assert prior.evaluate(x)[1][0] == pytest.approx(direct, rel=1e-12)
 
     def test_weight_renormalization_invariance(self):
         centers = np.array([[0.0], [2.0]])
@@ -89,14 +91,14 @@ class TestPriorMixture:
         a = PriorMixture(centers, q, weights=np.array([0.25, 0.75]))
         b = PriorMixture(centers, q, weights=np.array([1.0, 3.0]))
         x = np.array([0.7])
-        assert a.log_density(x) == pytest.approx(b.log_density(x), rel=1e-14)
+        assert a.evaluate(x)[1][0] == pytest.approx(b.evaluate(x)[1][0], rel=1e-14)
 
     def test_high_dimension_no_underflow(self):
         # raw exponentials underflow at 40 dimensions; log-sum-exp must not
         rng = np.random.default_rng(5)
         centers = rng.standard_normal((10, 40)) * 30.0
         prior = PriorMixture(centers, Covariance.isotropic(0.3, 40))
-        resp = prior.responsibilities(centers + 0.1)
+        resp, _ = prior.evaluate(centers + 0.1)
         assert np.all(np.isfinite(resp))
 
     @pytest.mark.parametrize("n_x_pts,n_c,n_x", [(1, 1, 1), (5, 7, 3), (100, 100, 40)])
@@ -125,6 +127,44 @@ class TestPriorMixture:
             warnings.simplefilter("error")
             log_psi = prior.log_psi(x)
         assert np.all(log_psi == -np.inf)
+
+    @pytest.mark.parametrize("n_x_pts,n_c", [(1, 1), (7, 5), (100, 100)])
+    def test_evaluate_matches_logsumexp_and_softmax(self, monkeypatch, n_x_pts, n_c):
+        # one shared exponential gives the bits of the two separate
+        # evaluations, with rows spanning beyond exp's underflow and
+        # zero-weight (-inf) components
+        rng = np.random.default_rng(n_x_pts + n_c)
+        log_psi = -rng.exponential(300.0, size=(n_x_pts, n_c))
+        log_psi[rng.random(log_psi.shape) < 0.2] = -np.inf
+        log_psi[:, rng.integers(n_c)] = -rng.exponential(3.0, size=n_x_pts)
+        monkeypatch.setattr(PriorMixture, "log_psi", lambda self, x: log_psi)
+        prior = PriorMixture(np.zeros((n_c, 1)), Covariance.diagonal([1.0]))
+        resp, log_density = prior.evaluate(np.zeros((n_x_pts, 1)))
+        np.testing.assert_array_equal(resp, softmax_responsibilities(log_psi))
+        np.testing.assert_array_equal(log_density, logsumexp(log_psi, axis=1))
+
+    def test_all_minus_inf_rows(self, monkeypatch):
+        # a particle whose components are all -inf keeps log density -inf
+        # and the gradient names the particle the softmax named
+        rng = np.random.default_rng(7)
+        log_psi = -rng.exponential(30.0, size=(8, 6))
+        log_psi[[3, 5]] = -np.inf
+        monkeypatch.setattr(PriorMixture, "log_psi", lambda self, x: log_psi)
+        ssm = make_ssm(n_x=1)
+        prior = PriorMixture(rng.standard_normal((6, 1)), ssm.q)
+        x, y = rng.standard_normal((8, 1)), np.array([0.3])
+        resp, log_density = prior.evaluate(x)
+        np.testing.assert_array_equal(log_density, logsumexp(log_psi, axis=1))
+        assert log_density[3] == log_density[5] == -np.inf
+        ok = np.isfinite(log_density)
+        np.testing.assert_array_equal(resp[ok], softmax_responsibilities(log_psi[ok]))
+        with pytest.raises(NumericalDegeneracyError) as old:
+            softmax_responsibilities(log_psi)
+        for mixture in (None, (resp, log_density)):
+            with pytest.raises(NumericalDegeneracyError) as new:
+                log_posterior_grad(ssm, prior, x, y, mixture=mixture)
+            assert str(new.value) == str(old.value)
+        assert str(old.value).endswith("particle 3")
 
     def test_bad_weights(self):
         with pytest.raises(ContractViolation):
