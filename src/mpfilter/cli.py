@@ -67,7 +67,9 @@ def _resolve_config(args) -> tuple:
         cfg.seed = args.seed
     if args.filter is not None:
         cfg.filter = args.filter
-    validate(cfg)
+    if args.seed is not None or args.filter is not None:
+        # load_preset and load_config validated the config as loaded
+        validate(cfg)
     return cfg, name
 
 

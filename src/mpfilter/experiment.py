@@ -159,7 +159,46 @@ class TwinSetup:
     q_diagonal: np.ndarray
 
 
+def _start_key(model, spinup_steps: int) -> str:
+    """Key of an ODE model's start in ``data/start_states.npz``: its
+    climatology key (every model field) and the spin-up length."""
+    return f"{climatology_key(model)} spinup:{spinup_steps}"
+
+
+def _integrate_start(model, spinup_steps: int) -> np.ndarray:
+    """The seed-independent start of an ODE twin experiment, integrated from
+    the model's fixed ``x0``: the Lorenz-63 truth after the spin-up, or the
+    Lorenz-96 bank of 1000 states sampled every 20 steps after the spin-up
+    (the truth is its last row; the members are drawn from the others)."""
+    if model.name == "lorenz63":
+        return advance_window(model, np.array([1.0, 1.0, 1.001]), spinup_steps)
+    x0 = np.full(model.n_x, model.forcing)
+    x0[0] += 0.01
+    spun = advance_window(model, x0, spinup_steps)
+    return free_run(model, spun, 20_000, sample_every=20)
+
+
+def _start_states(model, spinup_steps: int) -> np.ndarray:
+    """``_integrate_start(model, spinup_steps)``, read from the shipped
+    ``data/start_states.npz`` when it lists the model and spin-up, and
+    integrated otherwise."""
+    key = _start_key(model, spinup_steps)
+    with (resources.files("mpfilter") / "data" / "start_states.npz").open("rb") as f, \
+            np.load(f, allow_pickle=False) as table:
+        if key in table.files:
+            return table[key]
+    return _integrate_start(model, spinup_steps)
+
+
 def build_setup(cfg: ExperimentConfig) -> TwinSetup:
+    """Model, operators, streams and initial states of one run.
+
+    The Lorenz start (the spun-up truth, and for Lorenz-96 the bank the
+    members are drawn from) does not depend on the seed: every preset's is
+    read from ``data/start_states.npz``, and any other model or spin-up
+    length is integrated here.  Only the draws from the ``init`` stream
+    depend on the seed.
+    """
     model = build_model(cfg)
     q_diag = resolve_q_diagonal(cfg, model)
     q = Covariance.diagonal(q_diag)
@@ -172,14 +211,10 @@ def build_setup(cfg: ExperimentConfig) -> TwinSetup:
     init_rng = streams.substream("init")
 
     if cfg.model == "lorenz63":
-        x0 = np.array([1.0, 1.0, 1.001])
-        truth0 = advance_window(model, x0, cfg.spinup_steps)
+        truth0 = _start_states(model, cfg.spinup_steps)
         ens0 = Ensemble.equal_weight(truth0 + q.sample(init_rng, size=cfg.n_particles))
     elif cfg.model == "lorenz96":
-        x0 = np.full(model.n_x, model.forcing)
-        x0[0] += 0.01
-        spun = advance_window(model, x0, cfg.spinup_steps)
-        bank = free_run(model, spun, 20_000, sample_every=20)
+        bank = _start_states(model, cfg.spinup_steps)
         truth0 = bank[-1]
         idx = init_rng.integers(0, bank.shape[0] - 1, size=cfg.n_particles)
         ens0 = Ensemble.equal_weight(bank[idx])

@@ -1,17 +1,24 @@
 """CLI and twin-experiment harness tests: CSV schema, determinism, the
 resolved-config echo and the command surface."""
 
+import fnmatch
 import warnings
+from dataclasses import replace
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpfilter.cli as cli
+import mpfilter.config as config
 import mpfilter.experiment as experiment
 from mpfilter.cli import main
 from mpfilter.config import ConfigError, default_cholera_params_path, load_preset, loads
 from mpfilter.experiment import (
     CSV_HEADER,
     build_model,
+    build_setup,
     climatology_key,
     observation_matrix,
     resolve_mapping_config,
@@ -19,7 +26,10 @@ from mpfilter.experiment import (
     run_twin_experiment,
     shipped_climatology,
 )
-from mpfilter.models import Lorenz63, climatological_variance
+from mpfilter.models import Lorenz63, Lorenz96, climatological_variance
+
+ROOT = Path(__file__).resolve().parents[1]
+START_STATES = resources.files("mpfilter") / "data" / "start_states.npz"
 
 SMALL = """
 model = lorenz63
@@ -126,6 +136,97 @@ class TestClimatologyTable:
         assert np.array_equal(resolve_q_diagonal(cfg, model),
                               0.3 * shipped_climatology(model) * window)
         assert counted_climatology == []
+
+
+def shipped_start_states() -> dict:
+    with START_STATES.open("rb") as f, np.load(f, allow_pickle=False) as table:
+        return {key: table[key] for key in table.files}
+
+
+class TestStartStateTable:
+    def test_shipped_states_match_recomputation(self, tmp_path):
+        # Guards data/start_states.npz: every member is recomputed through
+        # the one integration path, and the recomputed file is written to
+        # tmp_path, so a mismatch is mended by copying it over the shipped one.
+        recomputed = {experiment._start_key(model, 20_000):
+                      experiment._integrate_start(model, 20_000)
+                      for model in (Lorenz63(), Lorenz96())}
+        path = tmp_path / "start_states.npz"
+        np.savez(path, **recomputed)
+        hint = f"copy {path} over src/mpfilter/data/start_states.npz"
+        shipped = shipped_start_states()
+        assert sorted(shipped) == sorted(recomputed), hint
+        for key, states in recomputed.items():
+            assert np.array_equal(shipped[key], states), f"{key}: {hint}"
+
+    @pytest.fixture
+    def integrations(self, monkeypatch):
+        # build_setup's integrator calls, stubbed to return their start
+        calls = []
+
+        def advance_window(model, x, steps):
+            calls.append(("advance_window", model, steps, np.array(x)))
+            return np.array(x, dtype=float)
+
+        def free_run(model, x0, steps, sample_every=1):
+            calls.append(("free_run", model, steps, sample_every))
+            return np.tile(x0, (steps // sample_every, 1))
+
+        monkeypatch.setattr(experiment, "advance_window", advance_window)
+        monkeypatch.setattr(experiment, "free_run", free_run)
+        return calls
+
+    @pytest.mark.parametrize("preset", ["lorenz63-full-100p", "lorenz96-full-20p"])
+    def test_table_hit_skips_integration(self, integrations, preset):
+        cfg = load_preset(preset)
+        setup = build_setup(cfg)
+        assert integrations == []
+        states = shipped_start_states()[
+            experiment._start_key(setup.model, cfg.spinup_steps)]
+        if cfg.model == "lorenz63":
+            assert np.array_equal(setup.truth0, states)
+        else:
+            assert np.array_equal(setup.truth0, states[-1])
+            members = setup.ensemble0.states
+            assert (members[:, None, :] == states[None, :-1, :]).all(-1).any(-1).all()
+
+    def test_lorenz63_miss_integrates_the_spinup(self, integrations):
+        # the benchmark's own test config (SMALL in
+        # perfbench/tests/test_perfbench.py): its traced setup must keep
+        # counting the 200 spin-up steps
+        cfg = loads("model = lorenz63\nseed = 3\nn_particles = 6\ncycles = 4\n"
+                    "spinup_steps = 200\nq_spec = diag:0.1\n")
+        setup = build_setup(cfg)
+        [(name, model, steps, x0)] = integrations
+        assert (name, model, steps) == ("advance_window", Lorenz63(), 200)
+        assert np.array_equal(x0, [1.0, 1.0, 1.001])
+        assert np.array_equal(setup.truth0, x0)
+
+    def test_lorenz96_miss_integrates_spinup_and_bank(self, integrations):
+        cfg = replace(load_preset("lorenz96-full-20p"), dt=0.002)
+        setup = build_setup(cfg)
+        model = Lorenz96(dt=0.002)
+        [spinup, bank] = integrations
+        assert spinup[:3] == ("advance_window", model, 20_000)
+        x0 = np.full(40, 8.0)
+        x0[0] += 0.01
+        assert np.array_equal(spinup[3], x0)
+        assert bank == ("free_run", model, 20_000, 20)
+        assert np.array_equal(setup.truth0, x0)
+
+
+class TestPackageData:
+    def test_every_data_file_matches_a_package_data_glob(self):
+        # a file no glob names is silently left out of a wheel
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        globs = pyproject["tool"]["setuptools"]["package-data"]["mpfilter"]
+        package = ROOT / "src" / "mpfilter"
+        files = [p.relative_to(package).as_posix() for p in package.rglob("*")
+                 if p.is_file() and "__pycache__" not in p.parts and p.suffix != ".py"]
+        assert "data/start_states.npz" in files
+        assert [f for f in files
+                if not any(fnmatch.fnmatchcase(f, g) for g in globs)] == []
 
 
 class TestMappingResolution:
@@ -345,6 +446,24 @@ class TestCliCommands:
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+    def test_run_validates_once_without_overrides(self, tmp_path, monkeypatch):
+        # load_preset validates the preset, building the model once; with
+        # no --seed or --filter the run builds it once more, in build_setup
+        reads = []
+        real_load, real_run = config.load_cholera_params, cli.run_twin_experiment
+        monkeypatch.setattr(config, "load_cholera_params",
+                            lambda path: reads.append(path) or real_load(path))
+        monkeypatch.setattr(cli, "run_twin_experiment",
+                            lambda cfg, **kw: real_run(replace(cfg, cycles=2), **kw))
+        assert main(["run", "--preset", "cholera-20p", "--out", str(tmp_path)]) == 0
+        assert len(reads) == 2
+
+    def test_run_bad_seed_override_exits_cleanly(self, tmp_path, capsys):
+        assert main(["run", "--preset", "lorenz63-full-5p", "--seed", "-1",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
 
     def test_run_unknown_preset(self, capsys):
         assert main(["run", "--preset", "does-not-exist"]) == 1
