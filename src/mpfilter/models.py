@@ -79,19 +79,18 @@ class Lorenz96(OdeModel):
     def __post_init__(self):
         if self.n_vars < 4:
             raise ContractViolation("n_vars must be >= 4 for Lorenz-96")
+        # cyclic ring [n-2, n-1, 0, ..., n-1, 0]; not a field, so eq and hash skip it
+        object.__setattr__(self, "_ring", np.arange(-2, self.n_vars + 1) % self.n_vars)
 
     @property
     def n_x(self) -> int:
         return self.n_vars
 
     def drift(self, x: np.ndarray) -> np.ndarray:
-        # (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F with cyclic indices: the
-        # interior by slices, then the three entries that wrap around
-        out = np.empty_like(x, dtype=float)
-        out[..., 2:-1] = (x[..., 3:] - x[..., :-3]) * x[..., 1:-2]
-        out[..., 0] = (x[..., 1] - x[..., -2]) * x[..., -1]
-        out[..., 1] = (x[..., 2] - x[..., -1]) * x[..., 0]
-        out[..., -1] = (x[..., 0] - x[..., -3]) * x[..., -2]
+        # (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F, cyclic: one gather through the ring
+        xp = x.take(self._ring, axis=-1)
+        out = xp[..., 3:] - xp[..., :-3]
+        out *= xp[..., 1:-2]
         out -= x
         out += self.forcing
         return out
@@ -107,7 +106,7 @@ def _integrate(model, x: np.ndarray, steps: int, every: int = 0):
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):
             x = model.step(x)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise IntegrationBlowupError(model.name, i)
             if every and i % every == 0:
                 samples.append(x.copy())
@@ -123,6 +122,8 @@ def advance_window(model, x: np.ndarray, steps: int) -> np.ndarray:
 
 def free_run(model, x0: np.ndarray, steps: int, sample_every: int = 1) -> np.ndarray:
     """Deterministic trajectory sampled every ``sample_every`` steps."""
+    if sample_every < 1:
+        raise ContractViolation("sample_every must be >= 1")
     return np.asarray(_integrate(model, x0, steps, sample_every)[1])
 
 

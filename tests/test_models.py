@@ -1,10 +1,13 @@
 """Dynamical model and integrator tests: fixed points, convergence order,
 stochastic-model contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mpfilter.core import ContractViolation
+from mpfilter.experiment import climatology_key
 from mpfilter.models import (
     CholeraModel,
     CholeraParams,
@@ -29,6 +32,24 @@ def make_cholera(**overrides):
     )
     kwargs.update(overrides)
     return CholeraModel(CholeraParams(**kwargs))
+
+
+def first_nonfinite_step(model, x, steps):
+    """Reference for the blow-up step: the first of ``steps`` single
+    ``model.step`` calls whose state holds a non-finite entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            x = model.step(x)
+            if not all(math.isfinite(v) for v in x.ravel()):
+                return i
+    return None
+
+
+def blowup_step(model, x, steps):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationBlowupError) as info:
+            advance_window(model, x, steps)
+    return info.value.step
 
 
 class TestLorenz63:
@@ -74,10 +95,12 @@ class TestLorenz63:
         np.testing.assert_array_equal(model.drift(x[0]), stacked[0])
 
     def test_blowup_reports_first_nonfinite_step(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(IntegrationBlowupError) as info:
-                advance_window(Lorenz63(dt=0.05), np.full(3, 1e3), 10)
-        assert info.value.step == 3
+        model = Lorenz63(dt=0.05)
+        x = np.full(3, 1e3)
+        assert blowup_step(model, x, 10) == first_nonfinite_step(model, x, 10) == 3
+        # a batch reports its earliest row: these rows blow up at 3, 4, 4
+        batch = np.ones((3, 3)) * np.array([[1e3], [3e2], [1e2]])
+        assert blowup_step(model, batch, 10) == first_nonfinite_step(model, batch, 10)
 
     def test_long_run_stays_bounded(self):
         traj = free_run(Lorenz63(), np.array([1.0, 1.0, 1.001]), 100_000,
@@ -109,6 +132,16 @@ class TestLorenz96:
                   * np.roll(x, 1, axis=-1) - x + model.forcing)
         np.testing.assert_array_equal(model.drift(x), rolled)
         np.testing.assert_array_equal(model.drift(x[0]), rolled[0])
+        # states batch over any leading axes
+        x3 = x.reshape(2, 3, n_vars)
+        np.testing.assert_array_equal(model.drift(x3), rolled.reshape(2, 3, n_vars))
+
+    def test_ring_is_not_a_field(self):
+        # the cached cyclic index leaves equality, hashing and data keys alone
+        assert Lorenz96() == Lorenz96()
+        assert hash(Lorenz96()) == hash(Lorenz96())
+        assert Lorenz96() != Lorenz96(n_vars=41)
+        assert climatology_key(Lorenz96()) == "lorenz96 n_vars:40 forcing:8.0 dt:0.001"
 
     def test_too_few_variables_rejected(self):
         with pytest.raises(ContractViolation):
@@ -122,9 +155,10 @@ class TestLorenz96:
 
     def test_blowup_detected(self):
         model = Lorenz96(n_vars=5, forcing=8.0, dt=1.0)  # absurd step
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(IntegrationBlowupError):
-                advance_window(model, np.arange(5, dtype=float) * 10.0, 50)
+        x = np.arange(5, dtype=float) * 10.0
+        assert blowup_step(model, x, 50) == first_nonfinite_step(model, x, 50)
+        batch = np.random.default_rng(0).standard_normal((3, 5)) * 3.0
+        assert blowup_step(model, batch, 50) == first_nonfinite_step(model, batch, 50)
 
 
 class TestIntegrators:
@@ -144,6 +178,11 @@ class TestIntegrators:
     def test_steps_must_be_positive(self):
         with pytest.raises(ContractViolation):
             advance_window(Lorenz63(), np.zeros(3), 0)
+
+    def test_sample_every_must_be_positive(self):
+        for every in (0, -1):
+            with pytest.raises(ContractViolation):
+                free_run(Lorenz63(), np.ones(3), 10, sample_every=every)
 
     def test_rk4_step_quadrature(self):
         # integrates dx/dt = x exactly enough to match e^dt to O(dt^5)
