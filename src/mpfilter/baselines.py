@@ -2,8 +2,9 @@
 
 Both advance the ensemble with ``StateSpaceModel.forecast`` (the model
 transition plus additive model noise), then apply their respective
-analysis step.  The EnKF is the perturbed-observation variant without
-localization or inflation.
+analysis step, and return the analysis ensemble with its ``CycleDiag``.
+The EnKF is the perturbed-observation variant without localization or
+inflation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mpfilter.core import ContractViolation, Ensemble
-from mpfilter.diagnostics import effective_sample_size
+from mpfilter.diagnostics import CycleDiag, effective_sample_size, weight_variance
 from mpfilter.ssm import StateSpaceModel, log_likelihood
 
 RIDGE = 1e-8
@@ -32,13 +33,6 @@ class SirConfig:
             raise ContractViolation("resample_threshold must be in (0, 1]")
         if self.resampler not in ("systematic", "multinomial"):
             raise ContractViolation(f"resampler {self.resampler!r} is unknown")
-
-
-@dataclass
-class SirDiagnostics:
-    n_eff: float
-    resampled: bool
-    degenerate: bool
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -63,11 +57,12 @@ def sir_cycle(
     particle_rngs: list[np.random.Generator],
     resample_rng: np.random.Generator,
     t0: float = 0.0,
-) -> tuple[Ensemble, SirDiagnostics]:
+) -> tuple[Ensemble, CycleDiag]:
     """One bootstrap-filter cycle: forecast, reweight, maybe resample.
 
     If every likelihood underflows, the weights are reset to uniform and
-    the cycle is flagged degenerate instead of crashing.
+    the cycle is flagged degenerate instead of crashing.  The diagnostics
+    carry N_eff before resampling and the variance of the returned weights.
     """
     _, states = ssm.forecast(ens.states, particle_rngs, t0)
     n_p = states.shape[0]
@@ -93,7 +88,9 @@ def sir_cycle(
         states = states[idx]
         w = np.full(n_p, 1.0 / n_p)
         resampled = True
-    return Ensemble(states, w), SirDiagnostics(n_eff, resampled, degenerate)
+    diag = CycleDiag(neff=n_eff, weight_variance=weight_variance(w),
+                     resampled=resampled, degenerate=degenerate)
+    return Ensemble(states, w), diag
 
 
 def enkf_cycle(
@@ -103,12 +100,13 @@ def enkf_cycle(
     particle_rngs: list[np.random.Generator],
     perturb_rng: np.random.Generator,
     t0: float = 0.0,
-) -> Ensemble:
+) -> tuple[Ensemble, CycleDiag]:
     """Stochastic (perturbed-observation) EnKF analysis, no localization.
 
     Gain from ensemble covariances; each member assimilates ``y`` plus an
     independent N(0, R) perturbation.  A singular innovation covariance is
-    ridge-regularized.
+    ridge-regularized.  The members stay equal-weight: N_eff is N_p and the
+    weight KL and variance are 0.
     """
     if ens.n_particles < ENKF_MIN_MEMBERS:
         raise ContractViolation(f"EnKF needs at least {ENKF_MIN_MEMBERS} members")
@@ -127,4 +125,5 @@ def enkf_cycle(
         gain = np.linalg.solve(innov_cov, pf_ht.T).T
     perturbed = y + ssm.r.sample(perturb_rng, size=n_p)
     analysis = states + (perturbed - states @ h.T) @ gain.T
-    return Ensemble.equal_weight(analysis)
+    diag = CycleDiag(neff=float(n_p), kl_from_weights=0.0, weight_variance=0.0)
+    return Ensemble.equal_weight(analysis), diag

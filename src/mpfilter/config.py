@@ -162,6 +162,13 @@ def parse_flat(text: str) -> dict[str, tuple[str, int]]:
 
 def loads(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     """Parse and validate; a relative cholera.params is read from base_dir."""
+    cfg = _parse(text, base_dir)
+    validate(cfg)
+    return cfg
+
+
+def _parse(text: str, base_dir: Path | None) -> ExperimentConfig:
+    """``loads`` without the validation: key syntax, types and defaults."""
     raw = parse_flat(text)
     values: dict[str, object] = {}
     for key, (value, line_no) in raw.items():
@@ -191,7 +198,6 @@ def loads(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     if base_dir is not None and cfg.cholera_params and not Path(
             cfg.cholera_params).is_absolute():
         cfg.cholera_params = str((base_dir / cfg.cholera_params).resolve())
-    validate(cfg)
     return cfg
 
 
@@ -349,8 +355,8 @@ def load_preset(name: str) -> ExperimentConfig:
         close = difflib.get_close_matches(name, preset_names(), n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise ConfigError(f"unknown preset {name!r}{hint}") from None
-    cfg = loads(text)
+    cfg = _parse(text, None)
     if override is not None:
         cfg.filter = override
-        validate(cfg)
+    validate(cfg)
     return cfg

@@ -1,5 +1,6 @@
 """Filter diagnostics: importance weights against the sequential posterior,
-effective sample size, KL-from-weights, and RMSE/spread scoring.
+effective sample size, KL-from-weights, RMSE/spread scoring, and the one
+per-cycle diagnostic record every filter returns (:class:`CycleDiag`).
 
 The proposal density for the weights is a kernel density estimate over the
 particles, evaluated at the particles themselves from the kernel Gram
@@ -23,6 +24,21 @@ from mpfilter.ssm import (
 )
 
 KDE_MAX_DIM = 10
+
+
+@dataclass
+class CycleDiag:
+    """What one filter cycle reports; a filter leaves the fields it does
+    not measure at their defaults (NaN, 0, False)."""
+
+    neff: float = float("nan")
+    kl_from_weights: float = float("nan")
+    weight_variance: float = float("nan")
+    map_iterations: int = 0
+    grad_norm_initial: float = float("nan")
+    grad_norm_final: float = float("nan")
+    resampled: bool = False
+    degenerate: bool = False
 
 
 @dataclass

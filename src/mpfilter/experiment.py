@@ -1,9 +1,11 @@
 """Twin-experiment harness: truth generation, filtering, CSV emission.
 
 A twin experiment generates a stochastic truth trajectory and synthetic
-observations with the same model and statistics the filter uses, runs the
-chosen filter (MPF, SIR or EnKF) and writes one CSV row per assimilation
-cycle.  Identical (config, seed) pairs give identical numerical output.
+observations with the same model and statistics the filter uses (the
+model's ``twin_window``), runs the chosen filter (MPF, SIR or EnKF) as one
+``step(ssm, ensemble, y, t0, cycle) -> (Ensemble, CycleDiag)`` per cycle and
+writes one CSV row per assimilation cycle.  Identical (config, seed) pairs
+give identical numerical output.
 """
 
 from __future__ import annotations
@@ -22,19 +24,13 @@ from mpfilter.config import (
     build_model,
     default_cholera_params_path,  # noqa: F401  re-exported for the benchmark
     dump_config,
-    parse_flat,
     parse_q_spec,
     resolve_mapping_config,
 )
 from mpfilter.core import Covariance, Ensemble
-from mpfilter.diagnostics import score_cycle, weight_variance
+from mpfilter.diagnostics import CycleDiag, score_cycle, weight_variance
 from mpfilter.kernels import GaussianKernel
-from mpfilter.models import (
-    advance_window,
-    cholera_observe,
-    climatological_variance,
-    free_run,
-)
+from mpfilter.models import advance_window, climatological_variance, free_run
 from mpfilter.mpf import MappingConfig, mapping_cycle
 from mpfilter.rng import RandomStream
 from mpfilter.ssm import PriorMixture, StateSpaceModel
@@ -44,30 +40,26 @@ CSV_HEADER = (
     "map_iterations,grad_norm_initial,grad_norm_final,wallclock_ms"
 )
 TRACE_HEADER = "cycle,iteration,mean_grad_norm,neff"
-R_VARIANCE_FLOOR = 1e-8
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass
-class CycleRecord:
+@dataclass(kw_only=True)
+class CycleRecord(CycleDiag):
+    """One cycle's row: the filter's ``CycleDiag`` plus the scores, and the
+    truth, analysis mean and observations (noisy and noise-free)."""
+
     cycle: int
     time: float
     rmse: float
     spread: float
-    neff: float
-    kl_from_weights: float
-    weight_variance: float
-    map_iterations: int
-    grad_norm_initial: float
-    grad_norm_final: float
     wallclock_ms: float
-    truth: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    analysis_mean: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    observation: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    extras: dict = field(default_factory=dict)
+    truth: np.ndarray = field(repr=False)
+    analysis_mean: np.ndarray = field(repr=False)
+    observation: np.ndarray = field(repr=False)
+    true_observation: np.ndarray = field(repr=False)
 
     def csv_row(self) -> str:
         """The ``CSV_HEADER`` columns: integers as such, floats round-trip."""
@@ -89,24 +81,23 @@ class RunResult:
         return float(np.mean([r.rmse for r in self.records[skip:]]))
 
 
-def climatology_key(model) -> str:
-    """Key of an ODE model in the shipped climatology table: its name and
-    every dataclass field as ``field:repr(value)``."""
-    return " ".join(
-        [model.name] + [f"{f.name}:{getattr(model, f.name)!r}" for f in fields(model)]
-    )
+def _table_key(model, entry: str) -> str:
+    """Key of an ODE model's entry in ``data/start_states.npz``: the model
+    name, every dataclass field as ``field:repr(value)``, then ``entry``
+    (``climatology``, or ``spinup:<steps>`` for a start)."""
+    params = [f"{f.name}:{getattr(model, f.name)!r}" for f in fields(model)]
+    return " ".join([model.name, *params, entry])
 
 
-def shipped_climatology(model) -> np.ndarray | None:
-    """The model's climatological variance from ``data/climatology.cfg``,
-    or None when the table has no entry for it."""
-    text = (resources.files("mpfilter") / "data" / "climatology.cfg").read_text(
-        encoding="utf-8"
-    )
-    entry = parse_flat(text).get(climatology_key(model))
-    if entry is None:
-        return None
-    return np.array([float(v) for v in entry[0].split(",")])
+def _shipped(model, entry: str, compute) -> np.ndarray:
+    """``compute()``, read from the shipped ``data/start_states.npz`` when
+    it lists the model's ``entry``."""
+    with (resources.files("mpfilter") / "data" / "start_states.npz").open("rb") as f, \
+            np.load(f, allow_pickle=False) as table:
+        key = _table_key(model, entry)
+        if key in table.files:
+            return table[key]
+    return compute()
 
 
 def observation_matrix(cfg: ExperimentConfig, model) -> np.ndarray:
@@ -138,9 +129,7 @@ def resolve_q_diagonal(cfg: ExperimentConfig, model) -> np.ndarray:
     kind, vals = parse_q_spec(cfg.q_spec)
     if kind == "diag":
         return np.full(model.n_x, vals[0]) if len(vals) == 1 else np.asarray(vals)
-    climatology = shipped_climatology(model)
-    if climatology is None:
-        climatology = climatological_variance(model)
+    climatology = _shipped(model, "climatology", lambda: climatological_variance(model))
     window = cfg.cycle_steps * cfg.dt
     return vals[0] * climatology * window
 
@@ -159,12 +148,6 @@ class TwinSetup:
     q_diagonal: np.ndarray
 
 
-def _start_key(model, spinup_steps: int) -> str:
-    """Key of an ODE model's start in ``data/start_states.npz``: its
-    climatology key (every model field) and the spin-up length."""
-    return f"{climatology_key(model)} spinup:{spinup_steps}"
-
-
 def _integrate_start(model, spinup_steps: int) -> np.ndarray:
     """The seed-independent start of an ODE twin experiment, integrated from
     the model's fixed ``x0``: the Lorenz-63 truth after the spin-up, or the
@@ -179,15 +162,9 @@ def _integrate_start(model, spinup_steps: int) -> np.ndarray:
 
 
 def _start_states(model, spinup_steps: int) -> np.ndarray:
-    """``_integrate_start(model, spinup_steps)``, read from the shipped
-    ``data/start_states.npz`` when it lists the model and spin-up, and
-    integrated otherwise."""
-    key = _start_key(model, spinup_steps)
-    with (resources.files("mpfilter") / "data" / "start_states.npz").open("rb") as f, \
-            np.load(f, allow_pickle=False) as table:
-        if key in table.files:
-            return table[key]
-    return _integrate_start(model, spinup_steps)
+    """``_integrate_start(model, spinup_steps)``, shipped or integrated."""
+    return _shipped(model, f"spinup:{spinup_steps}",
+                    lambda: _integrate_start(model, spinup_steps))
 
 
 def build_setup(cfg: ExperimentConfig) -> TwinSetup:
@@ -245,6 +222,51 @@ def resolved_config_text(cfg: ExperimentConfig, q_diag: np.ndarray) -> str:
     return dump_config(resolved)
 
 
+def _filter_step(cfg: ExperimentConfig, setup: TwinSetup, trace_file):
+    """The configured filter as one cycle ``step(ssm, ensemble, y, t0,
+    cycle) -> (Ensemble, CycleDiag)``: forecast from ``t0`` and analysis
+    of ``y``.  The MPF step writes its per-iteration trace to
+    ``trace_file``, when given, and keeps the carried prior weights."""
+    particle_rngs = setup.streams.particle_streams(cfg.n_particles)
+    resample_rng = setup.streams.substream("resampling")
+    if cfg.filter == "sir":
+        sir_cfg = SirConfig(cfg.sir_resample_threshold, cfg.sir_resampler)
+        return lambda ssm, ens, y, t0, cycle: sir_cycle(
+            ssm, ens, y, sir_cfg, particle_rngs, resample_rng, t0)
+    if cfg.filter == "enkf":
+        return lambda ssm, ens, y, t0, cycle: enkf_cycle(
+            ssm, ens, y, particle_rngs, resample_rng, t0)
+    prior_weights = None
+
+    def mpf_step(ssm, ens, y, t0, cycle):
+        nonlocal prior_weights
+        centers, states = ssm.forecast(ens.states, particle_rngs, t0)
+        prior = PriorMixture(centers, ssm.q, weights=prior_weights)
+        sink = None
+        if trace_file is not None:
+            def sink(i, gnorm, n_eff):
+                trace_file.write(f"{cycle},{i},{_fmt(gnorm)},{_fmt(n_eff)}\n")
+        result = mapping_cycle(
+            ssm, prior, Ensemble.equal_weight(states), y, setup.kernel,
+            setup.mapping, cycle=cycle, diag_sink=sink,
+        )
+        diag = CycleDiag(
+            map_iterations=result.iterations,
+            grad_norm_initial=result.grad_norm_trace[0],
+            grad_norm_final=result.grad_norm_trace[-1],
+        )
+        report = result.report
+        if report is not None:
+            diag.neff = report.n_eff
+            diag.kl_from_weights = report.kl_from_weights
+            diag.weight_variance = weight_variance(report.weights)
+            if cfg.mpf_carry_weights:
+                prior_weights = report.weights
+        return result.ensemble, diag
+
+    return mpf_step
+
+
 def run_twin_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -282,105 +304,32 @@ def run_twin_experiment(
 
     truth = setup.truth0.copy()
     ensemble = setup.ensemble0
-    prior_weights: np.ndarray | None = None
     truth_rng = setup.streams.substream("truth-noise")
     obs_rng = setup.streams.substream("obs-noise")
-    resample_rng = setup.streams.substream("resampling")
-    particle_rngs = setup.streams.particle_streams(cfg.n_particles)
-    sir_cfg = SirConfig(cfg.sir_resample_threshold, cfg.sir_resampler)
-    cholera = cfg.model == "cholera"
+    step = _filter_step(cfg, setup, trace_file)
     records: list[CycleRecord] = []
 
     try:
         for cycle in range(cfg.cycles):
             t0 = cycle * window
             started = time.perf_counter()
-
-            # --- truth and synthetic observation -------------------------
-            if cholera:
-                truth, delta_c = setup.model.advance(
-                    truth, t0, cfg.cycle_steps, truth_rng
-                )
-                tau = setup.model.params.tau
-                y_scalar, obs_var = cholera_observe(delta_c, tau, obs_rng)
-                y = np.array([y_scalar])
-                r_cycle = Covariance.diagonal(
-                    [max((tau * y_scalar) ** 2, R_VARIANCE_FLOOR)]
-                )
-                ssm = replace(setup.ssm, r=r_cycle)
-            else:
-                truth = advance_window(setup.model, truth, cfg.cycle_steps)
-                truth = truth + setup.ssm.q.sample(truth_rng)
-                y = setup.ssm.observe(truth) + setup.ssm.r.sample(obs_rng)
-                ssm = setup.ssm
-
-            # --- filter ---------------------------------------------------
-            extras: dict = {}
-            neff = kl_w = w_var = float("nan")
-            iters = 0
-            g0 = g1 = float("nan")
-            if cfg.filter == "mpf":
-                centers, states = ssm.forecast(ensemble.states, particle_rngs, t0)
-                forecast = Ensemble.equal_weight(states)
-                prior = PriorMixture(centers, ssm.q, weights=prior_weights)
-                sink = None
-                if trace_file is not None:
-                    def sink(i, gnorm, n_eff, _c=cycle):  # noqa: E731
-                        trace_file.write(
-                            f"{_c},{i},{_fmt(gnorm)},{_fmt(n_eff)}\n"
-                        )
-                result = mapping_cycle(
-                    ssm, prior, forecast, y, setup.kernel, setup.mapping,
-                    cycle=cycle, diag_sink=sink,
-                )
-                ensemble = result.ensemble
-                iters = result.iterations
-                g0 = result.grad_norm_trace[0]
-                g1 = result.grad_norm_trace[-1]
-                report = result.report
-                if report is not None:
-                    neff = report.n_eff
-                    kl_w = report.kl_from_weights
-                    w_var = weight_variance(report.weights)
-                    if cfg.mpf_carry_weights:
-                        prior_weights = report.weights
-            elif cfg.filter == "sir":
-                ensemble, diag = sir_cycle(
-                    ssm, ensemble, y, sir_cfg, particle_rngs, resample_rng, t0
-                )
-                neff = diag.n_eff
-                w_var = weight_variance(ensemble.weights)
-                extras["resampled"] = diag.resampled
-                extras["degenerate"] = diag.degenerate
-            else:
-                ensemble = enkf_cycle(
-                    ssm, ensemble, y, particle_rngs, resample_rng, t0
-                )
-                neff = float(cfg.n_particles)
-                kl_w = 0.0
-                w_var = 0.0
-
+            truth, true_obs, y, ssm = setup.model.twin_window(
+                setup.ssm, truth, t0, truth_rng, obs_rng
+            )
+            ensemble, diag = step(ssm, ensemble, y, t0, cycle)
             rmse, spread = score_cycle(truth, ensemble)
             mean, _ = ensemble.mean_and_spread()
-            if cholera:
-                extras["true_mortality"] = delta_c
-                extras["predicted_mortality"] = float(ssm.observe(mean)[0])
             record = CycleRecord(
+                **vars(diag),
                 cycle=cycle,
                 time=(cycle + 1) * window,
                 rmse=rmse,
                 spread=spread,
-                neff=neff,
-                kl_from_weights=kl_w,
-                weight_variance=w_var,
-                map_iterations=iters,
-                grad_norm_initial=g0,
-                grad_norm_final=g1,
                 wallclock_ms=(time.perf_counter() - started) * 1e3,
-                truth=truth.copy(),
+                truth=truth,
                 analysis_mean=mean,
-                observation=np.asarray(y, dtype=float).copy(),
-                extras=extras,
+                observation=y,
+                true_observation=true_obs,
             )
             records.append(record)
             if csv_file is not None:

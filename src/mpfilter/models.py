@@ -4,17 +4,20 @@ Lorenz-63 and Lorenz-96 are deterministic ODEs advanced with fixed-step
 classical RK4; the cholera SI3R compartment model is an SDE advanced with
 Euler-Maruyama.  Every model advances a whole ``(N_p, n_x)`` ensemble over
 one assimilation window with ``forecast(states, t0, steps, rngs)``, where
-particle ``j`` draws any model noise from ``rngs[j]``.
+particle ``j`` draws any model noise from ``rngs[j]``, and generates one
+window of a twin experiment's truth and observation with ``twin_window``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from mpfilter.core import ContractViolation
+from mpfilter.core import ContractViolation, Covariance
+
+R_VARIANCE_FLOOR = 1e-8  # lower bound of the cholera R, (tau y)^2, which is 0 at y = 0
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -47,6 +50,16 @@ class OdeModel:
     def forecast(self, states: np.ndarray, t0: float, steps: int, rngs) -> np.ndarray:
         """Advance a batch over one window; ``t0`` and ``rngs`` are unused."""
         return advance_window(self, states, steps)
+
+    def twin_window(self, ssm, truth: np.ndarray, t0: float, truth_rng, obs_rng):
+        """One window of a twin experiment: the truth advanced over
+        ``ssm.cycle_steps`` plus one N(0, Q) draw, its observation ``H x``
+        and that plus one N(0, R) draw.  Returns ``(truth, true_obs, y,
+        cycle_ssm)``; R is fixed, so ``cycle_ssm`` is ``ssm``."""
+        truth = advance_window(self, truth, ssm.cycle_steps)
+        truth = truth + ssm.q.sample(truth_rng)
+        true_obs = ssm.observe(truth)
+        return truth, true_obs, true_obs + ssm.r.sample(obs_rng), ssm
 
 
 @dataclass(frozen=True)
@@ -266,6 +279,18 @@ class CholeraModel:
         z = np.zeros(steps) if rng is None else rng.standard_normal(steps)
         return self._window(x, t, z)
 
+    def twin_window(self, ssm, truth: np.ndarray, t0: float, truth_rng, obs_rng):
+        """One window of a twin experiment: the truth advanced over
+        ``ssm.cycle_steps`` from ``t0``, the window's mortality and its
+        noisy observation ``y``.  Returns ``(truth, true_obs, y, cycle_ssm)``,
+        where ``cycle_ssm`` is ``ssm`` with this cycle's R,
+        ``max((tau y)^2, R_VARIANCE_FLOOR)``."""
+        truth, delta_c = self.advance(truth, t0, ssm.cycle_steps, truth_rng)
+        tau = self.params.tau
+        y = cholera_observe(delta_c, tau, obs_rng)
+        r = Covariance.diagonal([max((tau * y) ** 2, R_VARIANCE_FLOOR)])
+        return truth, np.array([delta_c]), np.array([y]), replace(ssm, r=r)
+
 
 def load_cholera_params(path) -> CholeraParams:
     """Read SI3R parameters from the flat ``key = value`` file at ``path``."""
@@ -317,16 +342,11 @@ def parse_cholera_params(text: str) -> CholeraParams:
 
 def cholera_observe(
     delta_c: float, tau: float, rng: np.random.Generator | None
-) -> tuple[float, float]:
-    """Noisy mortality observation ``N(delta_c, (tau * delta_c)^2)``.
-
-    Returns the observation and its variance (the variance also feeds the
-    time-dependent observation error of the likelihood).
-    """
+) -> float:
+    """Noisy mortality observation ``y ~ N(delta_c, (tau * delta_c)^2)``;
+    ``delta_c`` itself when ``rng`` is None or that variance is 0."""
     if delta_c < 0.0:
         raise ContractViolation("cholera mortality increment must be >= 0")
-    var = (tau * delta_c) ** 2
-    y = delta_c
-    if rng is not None and var > 0.0:
-        y = delta_c + tau * delta_c * float(rng.standard_normal())
-    return y, var
+    if rng is not None and (tau * delta_c) ** 2 > 0.0:
+        return delta_c + tau * delta_c * float(rng.standard_normal())
+    return delta_c

@@ -87,7 +87,7 @@ class TestSirCycle:
         ens = Ensemble.equal_weight(np.zeros((4, 1)))
         out, diag = sir_cycle(ssm, ens, np.array([0.0]), SirConfig(),
                               streams(4)[:4], streams(1, seed=9)[0])
-        assert diag.n_eff == pytest.approx(4.0, abs=1e-6)
+        assert diag.neff == pytest.approx(4.0, abs=1e-6)
         assert not diag.resampled
         assert not diag.degenerate
 
@@ -96,7 +96,7 @@ class TestSirCycle:
         ens = Ensemble.equal_weight(np.array([[0.0], [100.0]]))
         out, diag = sir_cycle(ssm, ens, np.array([0.0]), SirConfig(),
                               streams(2)[:2], streams(1, seed=3)[0])
-        assert diag.n_eff == pytest.approx(1.0, abs=1e-6)
+        assert diag.neff == pytest.approx(1.0, abs=1e-6)
         assert diag.resampled
         assert np.all(np.abs(out.states) < 1.0)  # survivor near the obs
 
@@ -117,7 +117,7 @@ class TestSirCycle:
                               SirConfig(resample_threshold=0.01),
                               rng_list[:8], rng_list[8])
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert 1.0 <= diag.n_eff <= 8.0
+        assert 1.0 <= diag.neff <= 8.0
 
 
 class TestEnkfCycle:
@@ -136,7 +136,7 @@ class TestEnkfCycle:
         ssm = identity_ssm(q=q, r=r)
         ens = Ensemble.equal_weight(np.full((n, 1), prior_mean))
         rngs = streams(n, seed=8)
-        out = enkf_cycle(ssm, ens, np.array([y]), rngs[:n], rngs[n])
+        out, _ = enkf_cycle(ssm, ens, np.array([y]), rngs[:n], rngs[n])
         gain = q / (q + r)
         kalman_mean = prior_mean + gain * (y - prior_mean)
         kalman_var = (1 - gain) * q
@@ -147,7 +147,7 @@ class TestEnkfCycle:
         ssm = identity_ssm(q=1e-12, r=1e6)
         states = np.linspace(-1, 1, 6)[:, None]
         rngs = streams(6, seed=11)
-        out = enkf_cycle(ssm, Ensemble.equal_weight(states), np.array([50.0]),
+        out, _ = enkf_cycle(ssm, Ensemble.equal_weight(states), np.array([50.0]),
                          rngs[:6], rngs[6])
         assert np.max(np.abs(out.states - states)) < 1e-3
 
@@ -155,7 +155,7 @@ class TestEnkfCycle:
         ssm = identity_ssm(q=1e-18, r=1.0)
         states = np.full((4, 1), 2.0)
         rngs = streams(4, seed=12)
-        out = enkf_cycle(ssm, Ensemble.equal_weight(states), np.array([5.0]),
+        out, _ = enkf_cycle(ssm, Ensemble.equal_weight(states), np.array([5.0]),
                          rngs[:4], rngs[4])
         np.testing.assert_allclose(out.states, states, atol=1e-6)
 
@@ -165,7 +165,7 @@ class TestEnkfCycle:
         states = rng.standard_normal((200, 1))
         rngs = streams(200, seed=14)
         fc_like = states + ssm.q.sample(rng, size=200)  # proxy forecast spread
-        out = enkf_cycle(ssm, Ensemble.equal_weight(states), np.array([0.0]),
+        out, _ = enkf_cycle(ssm, Ensemble.equal_weight(states), np.array([0.0]),
                          rngs[:200], rngs[200])
         assert out.states.var() < fc_like.var() * 1.2
 
@@ -185,7 +185,7 @@ def test_cholera_cycle_starts_window_at_zero_aux(filt):
         if filt == "sir":
             return sir_cycle(setup.ssm, ens, y, SirConfig(), rngs[:6], rngs[6],
                              t0=1.0)[0]
-        return enkf_cycle(setup.ssm, ens, y, rngs[:6], rngs[6], t0=1.0)
+        return enkf_cycle(setup.ssm, ens, y, rngs[:6], rngs[6], t0=1.0)[0]
 
     fresh, carried = cycle(0.0), cycle(-24.0)
     np.testing.assert_array_equal(fresh.states, carried.states)

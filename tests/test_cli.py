@@ -19,14 +19,22 @@ from mpfilter.experiment import (
     CSV_HEADER,
     build_model,
     build_setup,
-    climatology_key,
     observation_matrix,
     resolve_mapping_config,
     resolve_q_diagonal,
     run_twin_experiment,
-    shipped_climatology,
 )
-from mpfilter.models import Lorenz63, Lorenz96, climatological_variance
+from mpfilter.core import Covariance
+from mpfilter.models import (
+    R_VARIANCE_FLOOR,
+    CholeraModel,
+    Lorenz63,
+    Lorenz96,
+    PiecewiseSeries,
+    advance_window,
+    climatological_variance,
+)
+from mpfilter.rng import RandomStream
 
 ROOT = Path(__file__).resolve().parents[1]
 START_STATES = resources.files("mpfilter") / "data" / "start_states.npz"
@@ -97,15 +105,27 @@ class TestQResolution:
             loads("model = cholera\nseed = 1\nq_spec = climatological:0.3\n")
 
 
+def shipped_tables() -> dict:
+    with START_STATES.open("rb") as f, np.load(f, allow_pickle=False) as table:
+        return {key: table[key] for key in table.files}
+
+
+@pytest.fixture(scope="module")
+def recomputed_tables() -> dict:
+    """Every member of data/start_states.npz, recomputed through the path a
+    table miss takes."""
+    tables = {experiment._table_key(model, "spinup:20000"):
+              experiment._integrate_start(model, 20_000)
+              for model in (Lorenz63(), Lorenz96())}
+    tables[experiment._table_key(Lorenz63(), "climatology")] = (
+        climatological_variance(Lorenz63()))
+    return tables
+
+
 class TestClimatologyTable:
-    def test_shipped_entry_matches_recomputation(self):
-        # Guards data/climatology.cfg: on a mismatch the message is the
-        # recomputed line, ready to paste into the table.
-        model = Lorenz63()
-        recomputed = climatological_variance(model)
-        line = (f"{climatology_key(model)} = "
-                + ", ".join(repr(float(v)) for v in recomputed))
-        assert np.array_equal(shipped_climatology(model), recomputed), line
+    def test_shipped_entry_matches_recomputation(self, recomputed_tables):
+        key = experiment._table_key(Lorenz63(), "climatology")
+        assert np.array_equal(shipped_tables()[key], recomputed_tables[key])
 
     @pytest.fixture
     def counted_climatology(self, monkeypatch):
@@ -121,7 +141,7 @@ class TestClimatologyTable:
     def test_table_miss_integrates_once(self, counted_climatology):
         cfg = loads("model = lorenz63\nseed = 1\ndt = 0.002\n")
         model = build_model(cfg)
-        assert shipped_climatology(model) is None
+        assert experiment._table_key(model, "climatology") not in shipped_tables()
         q = resolve_q_diagonal(cfg, model)
         assert counted_climatology == [model]
         assert np.array_equal(q, 0.3 * np.ones(3) * cfg.cycle_steps * cfg.dt)
@@ -133,28 +153,20 @@ class TestClimatologyTable:
         model = build_model(cfg)
         assert model == Lorenz63()
         window = cfg.cycle_steps * cfg.dt
-        assert np.array_equal(resolve_q_diagonal(cfg, model),
-                              0.3 * shipped_climatology(model) * window)
+        climatology = shipped_tables()[experiment._table_key(model, "climatology")]
+        assert np.array_equal(resolve_q_diagonal(cfg, model), 0.3 * climatology * window)
         assert counted_climatology == []
 
 
-def shipped_start_states() -> dict:
-    with START_STATES.open("rb") as f, np.load(f, allow_pickle=False) as table:
-        return {key: table[key] for key in table.files}
-
-
 class TestStartStateTable:
-    def test_shipped_states_match_recomputation(self, tmp_path):
-        # Guards data/start_states.npz: every member is recomputed through
-        # the one integration path, and the recomputed file is written to
+    def test_shipped_states_match_recomputation(self, recomputed_tables, tmp_path):
+        # Guards data/start_states.npz: the recomputed file is written to
         # tmp_path, so a mismatch is mended by copying it over the shipped one.
-        recomputed = {experiment._start_key(model, 20_000):
-                      experiment._integrate_start(model, 20_000)
-                      for model in (Lorenz63(), Lorenz96())}
+        recomputed = recomputed_tables
         path = tmp_path / "start_states.npz"
         np.savez(path, **recomputed)
         hint = f"copy {path} over src/mpfilter/data/start_states.npz"
-        shipped = shipped_start_states()
+        shipped = shipped_tables()
         assert sorted(shipped) == sorted(recomputed), hint
         for key, states in recomputed.items():
             assert np.array_equal(shipped[key], states), f"{key}: {hint}"
@@ -181,8 +193,8 @@ class TestStartStateTable:
         cfg = load_preset(preset)
         setup = build_setup(cfg)
         assert integrations == []
-        states = shipped_start_states()[
-            experiment._start_key(setup.model, cfg.spinup_steps)]
+        states = shipped_tables()[
+            experiment._table_key(setup.model, f"spinup:{cfg.spinup_steps}")]
         if cfg.model == "lorenz63":
             assert np.array_equal(setup.truth0, states)
         else:
@@ -325,6 +337,84 @@ class TestRunTwinExperiment:
         for r in res.records:
             assert 1.0 <= r.neff <= cfg.n_particles + 1e-9
 
+    def test_sir_resampling_flags_reach_records(self):
+        cfg = loads(SMALL.replace("cycles = 4", "cycles = 8") + "filter = sir\n")
+        records = run_twin_experiment(cfg).records
+        threshold = cfg.sir_resample_threshold * cfg.n_particles
+        assert any(r.resampled for r in records)
+        assert [r.resampled for r in records] == [r.neff <= threshold for r in records]
+        assert not any(r.degenerate for r in records)
+
+    def test_enkf_records_read_equal_weights(self):
+        cfg = loads(SMALL + "filter = enkf\n")
+        for r in run_twin_experiment(cfg).records:
+            assert (r.neff, r.kl_from_weights, r.weight_variance) == (
+                cfg.n_particles, 0.0, 0.0)
+            assert r.map_iterations == 0 and not r.resampled
+
+
+def reference_window(setup, truth, t0, truth_rng, obs_rng):
+    """The harness's truth-and-observation code before the models owned it:
+    ``(truth, true_obs, y, R of the cycle)``."""
+    model, ssm = setup.model, setup.ssm
+    if model.name == "cholera":
+        truth, delta_c = model.advance(truth, t0, ssm.cycle_steps, truth_rng)
+        tau = model.params.tau
+        y = delta_c
+        if (tau * delta_c) ** 2 > 0.0:
+            y = delta_c + tau * delta_c * float(obs_rng.standard_normal())
+        r = Covariance.diagonal([max((tau * y) ** 2, 1e-8)])
+        return truth, np.array([delta_c]), np.array([y]), r
+    truth = advance_window(model, truth, ssm.cycle_steps)
+    truth = truth + ssm.q.sample(truth_rng)
+    y = ssm.observe(truth) + ssm.r.sample(obs_rng)
+    return truth, ssm.observe(truth), y, ssm.r
+
+
+class TestTwinWindow:
+    @staticmethod
+    def assert_windows_match(setup, truth0, windows=5):
+        window = setup.ssm.cycle_steps * setup.model.dt
+        ref_streams, new_streams = RandomStream(7), RandomStream(7)
+        ref = new = truth0
+        for cycle in range(windows):
+            t0 = cycle * window
+            ref, ref_obs, ref_y, ref_r = reference_window(
+                setup, ref, t0, ref_streams.substream("truth-noise"),
+                ref_streams.substream("obs-noise"))
+            new, true_obs, y, ssm = setup.model.twin_window(
+                setup.ssm, new, t0, new_streams.substream("truth-noise"),
+                new_streams.substream("obs-noise"))
+            np.testing.assert_array_equal(new, ref)
+            np.testing.assert_array_equal(true_obs, ref_obs)
+            np.testing.assert_array_equal(y, ref_y)
+            np.testing.assert_array_equal(ssm.r.matrix(), ref_r.matrix())
+            np.testing.assert_array_equal(ssm.obs_matrix, setup.ssm.obs_matrix)
+        return y, ssm
+
+    @pytest.mark.parametrize("text", [
+        SMALL,
+        "model = lorenz96\nseed = 2\nn_particles = 4\n",
+        "model = cholera\nseed = 4\nn_particles = 4\n",
+    ], ids=["lorenz63", "lorenz96", "cholera"])
+    def test_matches_the_inline_form(self, text):
+        setup = build_setup(loads(text))
+        _, ssm = self.assert_windows_match(setup, setup.truth0)
+        if setup.model.name != "cholera":
+            assert ssm is setup.ssm
+
+    def test_cholera_zero_mortality_takes_the_floor(self):
+        # no infected and no transmission: the window's mortality and its
+        # observation are exactly 0, so R falls to R_VARIANCE_FLOOR
+        setup = build_setup(loads("model = cholera\nseed = 4\nn_particles = 4\n"))
+        no_transmission = PiecewiseSeries(np.array([0.0]), np.array([0.0]))
+        model = CholeraModel(replace(setup.model.params, transmission=no_transmission))
+        truth0 = setup.truth0.copy()
+        truth0[1] = 0.0
+        y, ssm = self.assert_windows_match(replace(setup, model=model), truth0)
+        assert y[0] == 0.0
+        assert ssm.r.matrix()[0, 0] == R_VARIANCE_FLOOR == 1e-8
+
 
 class TestCliCommands:
     def test_list_presets(self, capsys):
@@ -448,16 +538,19 @@ class TestCliCommands:
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
 
     def test_run_validates_once_without_overrides(self, tmp_path, monkeypatch):
-        # load_preset validates the preset, building the model once; with
-        # no --seed or --filter the run builds it once more, in build_setup
+        # load_preset validates the preset once, after any -sir / -enkf
+        # suffix, building the model once; with no --seed or --filter the
+        # run builds it once more, in build_setup
         reads = []
         real_load, real_run = config.load_cholera_params, cli.run_twin_experiment
         monkeypatch.setattr(config, "load_cholera_params",
                             lambda path: reads.append(path) or real_load(path))
         monkeypatch.setattr(cli, "run_twin_experiment",
                             lambda cfg, **kw: real_run(replace(cfg, cycles=2), **kw))
-        assert main(["run", "--preset", "cholera-20p", "--out", str(tmp_path)]) == 0
-        assert len(reads) == 2
+        for preset in ("cholera-20p", "cholera-20p-sir"):
+            reads.clear()
+            assert main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
+            assert len(reads) == 2, preset
 
     def test_run_bad_seed_override_exits_cleanly(self, tmp_path, capsys):
         assert main(["run", "--preset", "lorenz63-full-5p", "--seed", "-1",

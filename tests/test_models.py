@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mpfilter.core import ContractViolation
-from mpfilter.experiment import climatology_key
+from mpfilter.experiment import _table_key
 from mpfilter.models import (
     CholeraModel,
     CholeraParams,
@@ -141,7 +141,8 @@ class TestLorenz96:
         assert Lorenz96() == Lorenz96()
         assert hash(Lorenz96()) == hash(Lorenz96())
         assert Lorenz96() != Lorenz96(n_vars=41)
-        assert climatology_key(Lorenz96()) == "lorenz96 n_vars:40 forcing:8.0 dt:0.001"
+        assert _table_key(Lorenz96(), "climatology") == (
+            "lorenz96 n_vars:40 forcing:8.0 dt:0.001 climatology")
 
     def test_too_few_variables_rejected(self):
         with pytest.raises(ContractViolation):
@@ -267,16 +268,14 @@ class TestCholeraModel:
 
 class TestCholeraObserve:
     def test_zero_increment(self):
-        y, var = cholera_observe(0.0, 0.1, np.random.default_rng(0))
-        assert (y, var) == (0.0, 0.0)
+        assert cholera_observe(0.0, 0.1, np.random.default_rng(0)) == 0.0
 
     def test_noise_free(self):
-        y, var = cholera_observe(5.0, 0.0, np.random.default_rng(0))
-        assert y == 5.0 and var == 0.0
+        assert cholera_observe(5.0, 0.0, np.random.default_rng(0)) == 5.0
 
     def test_noise_scale(self):
         rng = np.random.default_rng(1)
-        draws = np.array([cholera_observe(10.0, 0.1, rng)[0] for _ in range(100_000)])
+        draws = np.array([cholera_observe(10.0, 0.1, rng) for _ in range(100_000)])
         assert abs(draws.std() - 1.0) < 0.05
         assert abs(draws.mean() - 10.0) < 0.05
 
