@@ -26,9 +26,9 @@ class CovarianceError(ValueError):
 class Covariance:
     """Diagonal covariance, a vector of positive variances: Q, the kernel
     bandwidth ``A = alpha Q`` and R all are.  Solves, quadratic forms and
-    samples are elementwise; :meth:`pairwise_quadratic_form` is the one
-    place the Gram matrix and the mixture log-psi get their pairwise
-    Mahalanobis distances from."""
+    samples are elementwise; :meth:`whiten` gives the whitened coordinates
+    from which :func:`pairwise_sq_distances` forms the pairwise Mahalanobis
+    distances of the Gram matrix and the mixture log-psi."""
 
     def __init__(self, variances: np.ndarray):
         variances = np.asarray(variances, dtype=float)
@@ -38,6 +38,7 @@ class Covariance:
             raise CovarianceError("diagonal entries must be finite and > 0")
         self._diag = variances.copy()
         self._sqrt_diag = np.sqrt(variances)
+        self._inv_sqrt_diag = 1.0 / self._sqrt_diag
         self._inv_diag = 1.0 / variances
 
     @classmethod
@@ -78,27 +79,49 @@ class Covariance:
         v = self._check_dim(v)
         return np.einsum("...i,...i->...", v, self.solve(v))
 
-    def pairwise_quadratic_form(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``quadratic_form(a[:, None, :] - b[None, :, :])``, (N_a, N_b), as one
-        matrix product: in whitened coordinates ``z = (x - m) Sigma^{-1/2}``
-        it is ``|z_a|^2 + |z_b|^2 - 2 z_a . z_b``, clipped at 0.  Centering on
-        ``m``, the mean of ``b``, keeps the expansion from cancelling for
-        states far from the origin.  It reorders the sums of the difference
-        tensor form, so the two agree to rounding, not bit for bit.  A
-        distance that overflows is ``inf`` (not NaN)."""
-        a, b = self._check_dim(a), self._check_dim(b)
-        w = 1.0 / self._sqrt_diag
+    def whiten(self, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened rows ``z = (x - m) Sigma^{-1/2}`` and their squared norms
+        ``|z|^2``, the inputs of :func:`pairwise_sq_distances`.  Centering on
+        ``m`` (the mean of the set the rows are compared against) keeps the
+        distance expansion from cancelling for states far from the origin.
+        A norm that overflows is ``inf``, with no warning."""
+        x = self._check_dim(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            m = b.mean(axis=0)
-            za, zb = (a - m) * w, (b - m) * w
-            d = (za * za).sum(axis=1)[:, None] + (zb * zb).sum(axis=1) - 2.0 * (za @ zb.T)
-        d[np.isnan(d)] = np.inf
-        return np.maximum(d, 0.0, out=d)
+            z = (x - m) * self._inv_sqrt_diag
+            return z, (z * z).sum(axis=1)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw ``N(0, Sigma)`` samples; shape ``(dim,)`` or ``(size, dim)``."""
         shape = (self.dim,) if size is None else (size, self.dim)
         return rng.standard_normal(shape) * self._sqrt_diag
+
+    def sample_rows(self, rngs: list[np.random.Generator]) -> np.ndarray:
+        """One ``N(0, Sigma)`` draw per generator, row ``j`` from ``rngs[j]``:
+        the same draws, bit for bit, as ``sample(rngs[j])`` for each ``j``."""
+        draws = np.empty((len(rngs), self.dim))
+        for row, rng in zip(draws, rngs):
+            rng.standard_normal(out=row)
+        draws *= self._sqrt_diag
+        return draws
+
+
+def pairwise_sq_distances(za: np.ndarray, na: np.ndarray,
+                          zb: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """Squared distances ``|z_a|^2 + |z_b|^2 - 2 z_a . z_b`` (N_a, N_b)
+    between whitened rows (:meth:`Covariance.whiten`, one centering ``m``
+    for both sets), clipped at 0, as one matrix product computed in place.
+    It reorders the sums of the difference tensor form, so the two agree to
+    rounding, not bit for bit.  A distance that overflows is ``inf`` (not
+    NaN).  ``za`` and ``zb`` must be separate arrays even for one set: the
+    product of an array with its own transpose takes BLAS's symmetric
+    (syrk) path, which rounds differently from the general product."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = na[:, None] + nb
+        g = za @ zb.T
+        g *= 2.0
+        d -= g
+    np.copyto(d, np.inf, where=np.isnan(d))
+    return np.maximum(d, 0.0, out=d)
 
 
 @dataclass

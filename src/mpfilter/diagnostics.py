@@ -45,8 +45,13 @@ class CycleDiag:
 class WeightReport:
     weights: np.ndarray
     n_eff: float
-    kl_from_weights: float
     route: str
+
+    @property
+    def kl_from_weights(self) -> float:
+        """Computed when read: the mapping's per-iteration N_eff reports
+        never read it, only the cycle's closing one."""
+        return kl_from_weights(self.weights)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -54,7 +59,7 @@ def effective_sample_size(weights: np.ndarray) -> float:
     # sum(w^2) = 1/n + sum((w - mean)^2) so uniform weights give exactly n
     w = np.asarray(weights, dtype=float)
     n = w.size
-    spread = np.sum(np.square(w - w.mean()))
+    spread = np.square(w - w.sum() / n).sum()
     return float(1.0 / (1.0 / n + spread))
 
 
@@ -84,7 +89,7 @@ def kde_log_proposal(
             f"KDE proposal limited to {max_dim} dimensions (got {states.shape[1]})"
         )
     gram = kernel.interactions(states) if gram is None else gram
-    return np.log(gram.mean(axis=0))
+    return np.log(gram.sum(axis=0) / gram.shape[0])
 
 
 def importance_report(
@@ -111,12 +116,7 @@ def importance_report(
         raise NumericalDegeneracyError(f"importance log weights degenerate (max {top})")
     w = np.exp(log_w - top)
     w = w / w.sum()
-    return WeightReport(
-        weights=w,
-        n_eff=effective_sample_size(w),
-        kl_from_weights=kl_from_weights(w),
-        route=route,
-    )
+    return WeightReport(weights=w, n_eff=effective_sample_size(w), route=route)
 
 
 def score_cycle(truth: np.ndarray, analysis: Ensemble) -> tuple[float, float]:

@@ -2,14 +2,14 @@
 
 The bandwidth matrix is ``A = alpha * Q`` where ``Q`` is the diagonal
 model error covariance.  The filter needs one pairwise product of the
-kernel, the Gram matrix (:meth:`GaussianKernel.interactions`, from
-``A.pairwise_quadratic_form``); the KL gradient forms both its
-attraction and its repulsion from it.  The pointwise value and
-derivatives, the closed forms the tests check the Gram matrix and the
-repulsion against, live in ``tests/oracles.py``.  Derivatives follow the
-source-argument convention: gradients are taken with respect to the
-*first* argument (the source particle), so that the kernel term of the KL
-gradient acts as a repulsive force.
+kernel, the Gram matrix (:meth:`GaussianKernel.interactions`, from the
+particles whitened by ``A`` and ``core.pairwise_sq_distances``); the KL
+gradient forms both its attraction and its repulsion from it.  The
+pointwise value and derivatives, the closed forms the tests check the Gram
+matrix and the repulsion against, live in ``tests/oracles.py``.
+Derivatives follow the source-argument convention: gradients are taken
+with respect to the *first* argument (the source particle), so that the
+kernel term of the KL gradient acts as a repulsive force.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpfilter.core import ContractViolation, Covariance
+from mpfilter.core import ContractViolation, Covariance, pairwise_sq_distances
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,10 @@ class GaussianKernel:
         ``K(x, x) = 1`` even when the other distances have overflowed.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        d = self.bandwidth.pairwise_quadratic_form(states, states)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = states.sum(axis=0) / states.shape[0]  # np.mean's arithmetic
+        z, n = self.bandwidth.whiten(states, m)
+        d = pairwise_sq_distances(z, n, z.copy(), n)  # a copy: no syrk path
         np.fill_diagonal(d, 0.0)
-        return np.exp(-0.5 * d)
+        d *= -0.5
+        return np.exp(d, out=d)

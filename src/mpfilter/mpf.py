@@ -15,7 +15,10 @@ The O(N_p^2) work -- the Gram matrix and one evaluation of the mixture
 (its responsibilities and log density from one softmax) -- is done once
 per set of particle positions and shared by the gradient at those
 positions, the N_eff rule after the update that produced them and the
-cycle's closing weight report.
+cycle's closing weight report.  Each takes its distances from the
+particles whitened once (``Covariance.whiten``) and one in-place product
+(``core.pairwise_sq_distances``); the mixture centers' whitening is done
+once per cycle, and the KL of the weights only for the closing report.
 """
 
 from __future__ import annotations
@@ -261,7 +264,9 @@ def mapping_cycle(
         bad = ~np.all(np.isfinite(field_vals), axis=-1)
         if np.any(bad):
             raise NonFiniteGradientError(int(np.argmax(bad)), i, cycle)
-        grad_norms.append(float(np.mean(np.linalg.norm(field_vals, axis=1))))
+        # the mean row norm, with np.linalg.norm's and np.mean's arithmetic
+        norms = np.sqrt((field_vals * field_vals).sum(axis=1))
+        grad_norms.append(float(norms.sum() / n_p))
 
         deltas = opt.step(field_vals)
         states = states + deltas

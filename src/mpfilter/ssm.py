@@ -7,8 +7,10 @@ Gaussian observation likelihood.  The mapping needs only the gradient of
 the log posterior, and the importance report the mixture's log density;
 :meth:`PriorMixture.evaluate` gives both the responsibilities and that log
 density from one max-shifted softmax (at 40 dimensions the raw exponentials
-underflow), once per set of particle positions.  The log-posterior value
-itself is a test oracle, in ``tests/oracles.py``.
+underflow), once per set of particle positions, computed in place.  The
+centers are frozen for the cycle, so the mixture whitens them once, when it
+is built; each evaluation whitens only the particles.  The log-posterior
+value itself is a test oracle, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mpfilter.core import ContractViolation, Covariance
+from mpfilter.core import ContractViolation, Covariance, pairwise_sq_distances
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -67,8 +69,9 @@ class StateSpaceModel:
         (cholera) and then its Q draw from ``rngs[j]``.
         """
         centers = self.dynamics.forecast(states, t0, self.cycle_steps, rngs)
-        noise = np.stack([self.q.sample(rng) for rng in rngs])
-        return centers, centers + noise
+        noisy = self.q.sample_rows(rngs)
+        noisy += centers
+        return centers, noisy
 
 
 @dataclass
@@ -91,11 +94,19 @@ class PriorMixture:
             self.weights = w / w.sum()
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(self.weights)
+        # the centers are frozen for the cycle: whiten them once
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._mean = self.centers.mean(axis=0)
+        self._z, self._norms = self.q.whiten(self.centers, self._mean)
 
     def log_psi(self, x: np.ndarray) -> np.ndarray:
-        """Per-component log weights ``log w_m - 1/2 ||x - c_m||^2_Q``."""
+        """Per-component log weights ``log w_m - 1/2 ||x - c_m||^2_Q``, a
+        fresh array per call."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.log_weights - 0.5 * self.q.pairwise_quadratic_form(x, self.centers)
+        z, n = self.q.whiten(x, self._mean)
+        d = pairwise_sq_distances(z, n, self._z, self._norms)
+        d *= 0.5
+        return np.subtract(self.log_weights, d, out=d)
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The mixture at each row of ``x`` from one softmax of its log-psi:
@@ -105,12 +116,14 @@ class PriorMixture:
         components are all ``-inf``; its log density is ``-inf`` and its
         responsibilities NaN, which :func:`log_posterior_grad` rejects)."""
         log_psi = self.log_psi(x)
-        top = np.max(log_psi, axis=1, keepdims=True)
+        top = log_psi.max(axis=1, keepdims=True)
         top = np.where(np.isfinite(top), top, 0.0)
-        p = np.exp(log_psi - top)
+        log_psi -= top
+        p = np.exp(log_psi, out=log_psi)
         s = p.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: all -inf
-            return p / s, np.log(s[:, 0]) + top[:, 0]
+            p /= s
+            return p, np.log(s[:, 0]) + top[:, 0]
 
 
 def log_likelihood(ssm: StateSpaceModel, x: np.ndarray, y: np.ndarray):

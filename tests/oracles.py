@@ -11,7 +11,11 @@ finite differences:
   as functions of the bandwidth covariance ``A``;
 * the log sequential posterior up to an additive constant;
 * the mixture log-sum-exp and softmax as two separate evaluations of
-  ``log_psi``, which ``PriorMixture.evaluate`` must match bit for bit.
+  ``log_psi``, which ``PriorMixture.evaluate`` must match bit for bit;
+* the pairwise Mahalanobis distances as a difference tensor, and as the
+  allocating one-product form whose bits the in-place Gram matrix and
+  mixture evaluation must keep, with the Gram matrix, log-psi and mixture
+  evaluation written on either.
 """
 
 import numpy as np
@@ -69,3 +73,47 @@ def log_posterior_unnormalized(ssm, prior, x, y):
     out = (logsumexp(prior.log_psi(x_arr), axis=1)
            + np.atleast_1d(log_likelihood(ssm, x_arr, y)))
     return out if np.asarray(x).ndim > 1 else float(out[0])
+
+
+def difference_tensor_form(cov, a, b):
+    """Pairwise distances from the (N_a, N_b, n_x) difference tensor's
+    quadratic form, as the Gram matrix and the mixture log-psi first built
+    them."""
+    return cov.quadratic_form(a[:, None, :] - b[None, :, :])
+
+
+def allocating_form(cov, a, b):
+    """Pairwise distances as one allocating matrix product: both sets
+    whitened on the mean of ``b`` and separately, so the product is a
+    general GEMM, then ``|z_a|^2 + |z_b|^2 - 2 z_a . z_b``, NaN to ``inf``
+    and clipped at 0."""
+    w = 1.0 / np.sqrt(np.diag(cov.matrix()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = b.mean(axis=0)
+        za, zb = (a - m) * w, (b - m) * w
+        d = (za * za).sum(axis=1)[:, None] + (zb * zb).sum(axis=1) - 2.0 * (za @ zb.T)
+    d[np.isnan(d)] = np.inf
+    return np.maximum(d, 0.0, out=d)
+
+
+def gram_matrix(bandwidth, states, pairwise=allocating_form):
+    """Kernel Gram matrix with exactly 1 on the diagonal."""
+    d = pairwise(bandwidth, states, states)
+    np.fill_diagonal(d, 0.0)
+    return np.exp(-0.5 * d)
+
+
+def mixture_log_psi(prior, x, pairwise=allocating_form):
+    """``log w_m - 1/2 ||x - c_m||^2_Q`` for every row of ``x``."""
+    return prior.log_weights - 0.5 * pairwise(prior.q, x, prior.centers)
+
+
+def mixture_evaluate(prior, x, pairwise=allocating_form):
+    """Responsibilities and log density from one allocating softmax."""
+    log_psi = mixture_log_psi(prior, x, pairwise)
+    top = np.max(log_psi, axis=1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    p = np.exp(log_psi - top)
+    s = p.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: all -inf
+        return p / s, np.log(s[:, 0]) + top[:, 0]

@@ -12,7 +12,9 @@ from mpfilter.core import (
     Covariance,
     CovarianceError,
     Ensemble,
+    pairwise_sq_distances,
 )
+from oracles import allocating_form, difference_tensor_form
 
 
 class TestCovarianceConstruction:
@@ -69,10 +71,11 @@ class TestQuadraticForm:
             np.testing.assert_allclose(new, old, rtol=1e-15, atol=0.0)
 
 
-def difference_tensor_form(cov, a, b):
-    """The pairwise form as the Gram matrix and the mixture log-psi once
-    built it: the (N_a, N_b, n_x) difference tensor and its quadratic form."""
-    return cov.quadratic_form(a[:, None, :] - b[None, :, :])
+def pairwise_form(cov, a, b):
+    """The program's pairwise distances: both sets whitened on the mean of
+    ``b``, then the one in-place product."""
+    m = b.mean(axis=0)
+    return pairwise_sq_distances(*cov.whiten(a, m), *cov.whiten(b, m))
 
 
 def gemm_tolerance(cov, *xs):
@@ -90,15 +93,27 @@ class TestPairwiseQuadraticForm:
         cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
         a = 3.0 * rng.standard_normal((n_a, n_x))
         b = 3.0 * rng.standard_normal((n_b, n_x))
-        np.testing.assert_allclose(cov.pairwise_quadratic_form(a, b),
+        np.testing.assert_allclose(pairwise_form(cov, a, b),
                                    difference_tensor_form(cov, a, b),
                                    rtol=0.0, atol=gemm_tolerance(cov, a, b))
+
+    @pytest.mark.parametrize("n_a,n_b,n_x", [(5, 7, 3), (20, 20, 40), (100, 100, 3)])
+    def test_in_place_matches_allocating_form(self, n_a, n_b, n_x):
+        # the same operations in the same order as the allocating form it
+        # replaced, so the same bits, overflowing rows included
+        rng = np.random.default_rng(n_a + n_b + n_x)
+        cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
+        a = 3.0 * rng.standard_normal((n_a, n_x))
+        a[:2] *= 1e200
+        b = 3.0 * rng.standard_normal((n_b, n_x))
+        np.testing.assert_array_equal(pairwise_form(cov, a, b),
+                                      allocating_form(cov, a, b))
 
     def test_hand_values(self):
         cov = Covariance.diagonal([2.0, 0.5])
         a = np.array([[0.0, 0.0], [2.0, 1.0]])
         b = np.array([[2.0, 0.0]])
-        np.testing.assert_allclose(cov.pairwise_quadratic_form(a, b), [[2.0], [2.0]],
+        np.testing.assert_allclose(pairwise_form(cov, a, b), [[2.0], [2.0]],
                                    rtol=0.0, atol=gemm_tolerance(cov, a, b))
 
     @pytest.mark.parametrize("n_a,n_b,n_x", [(5, 7, 3), (100, 100, 40)])
@@ -109,7 +124,7 @@ class TestPairwiseQuadraticForm:
         cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
         a = 3.0 * rng.standard_normal((n_a, n_x)) + 1e6
         b = 3.0 * rng.standard_normal((n_b, n_x)) + 1e6
-        np.testing.assert_allclose(cov.pairwise_quadratic_form(a, b),
+        np.testing.assert_allclose(pairwise_form(cov, a, b),
                                    difference_tensor_form(cov, a, b), rtol=0.0,
                                    atol=gemm_tolerance(cov, a - 1e6, b - 1e6))
 
@@ -120,7 +135,7 @@ class TestPairwiseQuadraticForm:
         cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=6))
         x = 5.0 * rng.standard_normal((30, 6))
         x = np.concatenate([x, x, x + 1e-9])
-        assert np.all(cov.pairwise_quadratic_form(x, x) >= 0.0)
+        assert np.all(pairwise_form(cov, x, x) >= 0.0)
 
     def test_overflow_is_inf(self):
         # rows near 1e200 have squared distances beyond the float range:
@@ -130,7 +145,7 @@ class TestPairwiseQuadraticForm:
         x = 1e200 * rng.standard_normal((5, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = cov.pairwise_quadratic_form(x, x)
+            d = pairwise_form(cov, x, x)
         assert not np.any(np.isnan(d))
         off_diagonal = ~np.eye(5, dtype=bool)
         assert np.all(d[off_diagonal] == np.inf)

@@ -9,7 +9,7 @@ import pytest
 
 from mpfilter.core import ContractViolation, Covariance
 from mpfilter.kernels import GaussianKernel
-from oracles import cross_hessian, grad_source, kernel_value
+from oracles import cross_hessian, grad_source, gram_matrix, kernel_value
 
 
 def kernel_1d(a=1.0, alpha=1.0):
@@ -186,6 +186,30 @@ class TestGram:
             warnings.simplefilter("error")
             gram = k.interactions(states)
         np.testing.assert_array_equal(gram, np.eye(5))
+
+    @pytest.mark.parametrize("n_p,n_x", [(5, 3), (20, 40), (100, 3)])
+    @pytest.mark.parametrize("scale", [3.0, 1e200])
+    def test_in_place_matches_allocating_form(self, n_p, n_x, scale):
+        # the same operations in the same order as the allocating form it
+        # replaced, so the same bits, overflowing distances included
+        rng = np.random.default_rng(n_p + n_x)
+        k = random_kernel(rng, n_x)
+        states = scale * rng.standard_normal((n_p, n_x))
+        np.testing.assert_array_equal(k.interactions(states),
+                                      gram_matrix(k.bandwidth, states))
+
+    def test_general_product_of_two_copies(self):
+        # an array times its own transpose takes BLAS's symmetric (syrk)
+        # path, which can round differently; the Gram matrix is the general
+        # product of two separate copies of the whitened particles
+        rng = np.random.default_rng(14)
+        k = random_kernel(rng, 3)
+        states = 3.0 * rng.standard_normal((100, 3))
+        z, n = k.bandwidth.whiten(states, states.mean(axis=0))
+        d = n[:, None] + n - 2.0 * (z @ z.copy().T)
+        np.fill_diagonal(d, 0.0)
+        np.testing.assert_array_equal(k.interactions(states),
+                                      np.exp(-0.5 * np.maximum(d, 0.0)))
 
     def test_dimension_mismatch(self):
         k = kernel_1d()

@@ -25,7 +25,7 @@ from mpfilter.mpf import (
     mapping_cycle,
 )
 from mpfilter.ssm import PriorMixture, StateSpaceModel, log_posterior_grad
-from oracles import grad_source
+from oracles import difference_tensor_form, grad_source, gram_matrix, mixture_log_psi
 
 
 def kernel_1d():
@@ -422,12 +422,6 @@ class TestSharedPairwisePass:
                          "evaluate": expected}
 
 
-def difference_tensor_form(self, a, b):
-    """``Covariance.pairwise_quadratic_form`` as it was before the one
-    matrix product: the (N_a, N_b, n_x) difference tensor's quadratic form."""
-    return self.quadratic_form(a[:, None, :] - b[None, :, :])
-
-
 class TestPairwiseFormStoppingIterations:
     def test_fully_observed_run_stops_alike(self, monkeypatch):
         # the one-product pairwise form reorders sums; on a fully observed
@@ -438,7 +432,11 @@ class TestPairwiseFormStoppingIterations:
             return run_twin_experiment(cfg).records
 
         gemm = run()
-        monkeypatch.setattr(Covariance, "pairwise_quadratic_form", difference_tensor_form)
+        # both consumers of pairwise distances: the Gram and the mixture
+        monkeypatch.setattr(GaussianKernel, "interactions", lambda self, x: gram_matrix(
+            self.bandwidth, np.atleast_2d(x), difference_tensor_form))
+        monkeypatch.setattr(PriorMixture, "log_psi", lambda self, x: mixture_log_psi(
+            self, np.atleast_2d(x), difference_tensor_form))
         tensor = run()
         assert [r.map_iterations for r in gemm] == [r.map_iterations for r in tensor]
         np.testing.assert_allclose([r.rmse for r in gemm], [r.rmse for r in tensor],

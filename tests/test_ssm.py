@@ -16,7 +16,13 @@ from mpfilter.ssm import (
     log_likelihood,
     log_posterior_grad,
 )
-from oracles import log_posterior_unnormalized, logsumexp, softmax_responsibilities
+from oracles import (
+    log_posterior_unnormalized,
+    logsumexp,
+    mixture_evaluate,
+    mixture_log_psi,
+    softmax_responsibilities,
+)
 
 
 def make_ssm(n_x=1, n_y=None, q=1.0, r=1.0, h=None):
@@ -137,7 +143,8 @@ class TestPriorMixture:
         log_psi = -rng.exponential(300.0, size=(n_x_pts, n_c))
         log_psi[rng.random(log_psi.shape) < 0.2] = -np.inf
         log_psi[:, rng.integers(n_c)] = -rng.exponential(3.0, size=n_x_pts)
-        monkeypatch.setattr(PriorMixture, "log_psi", lambda self, x: log_psi)
+        # evaluate writes into the fresh array log_psi returns per call
+        monkeypatch.setattr(PriorMixture, "log_psi", lambda self, x: log_psi.copy())
         prior = PriorMixture(np.zeros((n_c, 1)), Covariance.diagonal([1.0]))
         resp, log_density = prior.evaluate(np.zeros((n_x_pts, 1)))
         np.testing.assert_array_equal(resp, softmax_responsibilities(log_psi))
@@ -149,7 +156,8 @@ class TestPriorMixture:
         rng = np.random.default_rng(7)
         log_psi = -rng.exponential(30.0, size=(8, 6))
         log_psi[[3, 5]] = -np.inf
-        monkeypatch.setattr(PriorMixture, "log_psi", lambda self, x: log_psi)
+        # evaluate writes into the fresh array log_psi returns per call
+        monkeypatch.setattr(PriorMixture, "log_psi", lambda self, x: log_psi.copy())
         ssm = make_ssm(n_x=1)
         prior = PriorMixture(rng.standard_normal((6, 1)), ssm.q)
         x, y = rng.standard_normal((8, 1)), np.array([0.3])
@@ -165,6 +173,27 @@ class TestPriorMixture:
                 log_posterior_grad(ssm, prior, x, y, mixture=mixture)
             assert str(new.value) == str(old.value)
         assert str(old.value).endswith("particle 3")
+
+    @pytest.mark.parametrize("n_pts,n_x", [(5, 3), (20, 40), (100, 3)])
+    def test_in_place_matches_allocating_form(self, n_pts, n_x):
+        # centers whitened once and the softmax computed in place: the same
+        # operations in the same order as the allocating form, so the same
+        # bits, with rows near 1e200 (log-psi -inf) and zero-weight components
+        rng = np.random.default_rng(n_pts + n_x)
+        q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
+        weights = rng.uniform(0.1, 1.0, size=n_pts)
+        weights[rng.random(n_pts) < 0.3] = 0.0
+        centers = 3.0 * rng.standard_normal((n_pts, n_x))
+        prior = PriorMixture(centers, q, weights=weights)
+        x = 3.0 * rng.standard_normal((n_pts, n_x))
+        x[[1, 3]] *= 1e200
+        np.testing.assert_array_equal(prior.log_psi(x), mixture_log_psi(prior, x))
+        resp, log_density = prior.evaluate(x)
+        old_resp, old_log_density = mixture_evaluate(prior, x)
+        np.testing.assert_array_equal(resp, old_resp)
+        np.testing.assert_array_equal(log_density, old_log_density)
+        assert log_density[1] == log_density[3] == -np.inf
+        assert np.all(resp[:, weights == 0.0][np.isfinite(log_density)] == 0.0)
 
     def test_bad_weights(self):
         with pytest.raises(ContractViolation):
