@@ -8,6 +8,7 @@ sums in the BLAS's order), so identical seeds give bitwise-identical runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,8 @@ class Covariance:
     """Diagonal covariance, a vector of positive variances: Q, the kernel
     bandwidth ``A = alpha Q`` and R all are.  Solves, quadratic forms and
     samples are elementwise; :meth:`whiten` gives the whitened coordinates
-    from which :func:`pairwise_sq_distances` forms the pairwise Mahalanobis
-    distances of the Gram matrix and the mixture log-psi."""
+    from which :func:`neg_half_sq_distances` forms the pairwise Mahalanobis
+    terms of the Gram matrix and the mixture log-psi."""
 
     def __init__(self, variances: np.ndarray):
         variances = np.asarray(variances, dtype=float)
@@ -62,33 +63,32 @@ class Covariance:
             raise CovarianceError("scale factor must be > 0")
         return Covariance.diagonal(self._diag * factor)
 
-    def _check_dim(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1] != self.dim:
+    def _check_dim(self, n: int):
+        if n != self.dim:
             raise ContractViolation(
-                f"vector length {v.shape[-1]} does not match covariance dim {self.dim}"
-            )
-        return v
+                f"vector length {n} does not match covariance dim {self.dim}")
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """Return ``inverse(Sigma) @ v`` (batched over leading axes)."""
-        return self._check_dim(v) * self._inv_diag
+        return v * self._inv_diag
 
     def quadratic_form(self, v: np.ndarray):
         """Return ``v^T Sigma^{-1} v`` (batched over leading axes)."""
-        v = self._check_dim(v)
+        v = np.asarray(v, dtype=float)
+        self._check_dim(v.shape[-1])
         return np.einsum("...i,...i->...", v, self.solve(v))
 
     def whiten(self, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Whitened rows ``z = (x - m) Sigma^{-1/2}`` and their squared norms
-        ``|z|^2``, the inputs of :func:`pairwise_sq_distances`.  Centering on
-        ``m`` (the mean of the set the rows are compared against) keeps the
+        """Whitened rows ``z = (x - m) Sigma^{-1/2}`` of the 2-D array ``x``
+        and their half squared norms ``h = |z|^2 / 2``.  Centering on ``m``
+        (the mean of the set the rows are compared against) keeps the
         distance expansion from cancelling for states far from the origin.
-        A norm that overflows is ``inf``, with no warning."""
-        x = self._check_dim(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = (x - m) * self._inv_sqrt_diag
-            return z, (z * z).sum(axis=1)
+        A norm that overflows is ``inf``."""
+        self._check_dim(x.shape[1])
+        z = (x - m) * self._inv_sqrt_diag
+        h = (z * z).sum(axis=1)
+        h *= 0.5
+        return z, h
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw ``N(0, Sigma)`` samples; shape ``(dim,)`` or ``(size, dim)``."""
@@ -105,23 +105,24 @@ class Covariance:
         return draws
 
 
-def pairwise_sq_distances(za: np.ndarray, na: np.ndarray,
-                          zb: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """Squared distances ``|z_a|^2 + |z_b|^2 - 2 z_a . z_b`` (N_a, N_b)
-    between whitened rows (:meth:`Covariance.whiten`, one centering ``m``
-    for both sets), clipped at 0, as one matrix product computed in place.
-    It reorders the sums of the difference tensor form, so the two agree to
-    rounding, not bit for bit.  A distance that overflows is ``inf`` (not
+def neg_half_sq_distances(za: np.ndarray, ha: np.ndarray,
+                          zb: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """Minus half the squared distances ``min(z_a . z_b - (h_a + h_b), 0)``
+    (N_a, N_b) between whitened rows (:meth:`Covariance.whiten`, one
+    centering ``m`` for both sets), as one matrix product computed in place,
+    under the ``np.errstate`` of the public entry that calls it.  It
+    reorders the sums of the difference tensor form, so the two agree to
+    rounding, not bit for bit.  A term that overflows is ``-inf`` (not
     NaN).  ``za`` and ``zb`` must be separate arrays even for one set: the
     product of an array with its own transpose takes BLAS's symmetric
     (syrk) path, which rounds differently from the general product."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = na[:, None] + nb
-        g = za @ zb.T
-        g *= 2.0
-        d -= g
-    np.copyto(d, np.inf, where=np.isnan(d))
-    return np.maximum(d, 0.0, out=d)
+    d = za @ zb.T
+    d -= ha[:, None] + hb
+    # a NaN needs inf - inf; |z_a . z_b| <= h_a + h_b (Cauchy-Schwarz), so
+    # while this bound (with room for rounding) is finite, nothing overflows
+    if not math.isfinite(4.0 * (ha.max() + hb.max())):
+        np.copyto(d, -np.inf, where=np.isnan(d))
+    return np.minimum(d, 0.0, out=d)
 
 
 @dataclass

@@ -78,12 +78,11 @@ def kde_log_proposal(
     gram: np.ndarray | None = None,
 ) -> np.ndarray:
     """Log of the (unnormalized) KDE ``(1/N_p) sum_l K(x_l, .)`` at each
-    particle ``x_j``.
+    particle ``x_j`` (the rows of a 2-D float array).
 
     ``gram``, when given, is ``kernel.interactions(states)`` computed
     already.  The KDE normalization constant cancels in normalized weights.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.shape[1] > max_dim:
         raise ContractViolation(
             f"KDE proposal limited to {max_dim} dimensions (got {states.shape[1]})"
@@ -105,17 +104,15 @@ def importance_report(
 
     ``mixture``, when given, is ``prior.evaluate(states)`` computed already.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    log_proposal = np.asarray(log_proposal, dtype=float)
     if log_proposal.shape != (states.shape[0],):
         raise ContractViolation("one proposal density per particle required")
     _, log_prior = prior.evaluate(states) if mixture is None else mixture
-    log_w = np.atleast_1d(log_likelihood(ssm, states, y)) + log_prior - log_proposal
-    top = np.max(log_w)
+    log_w = log_likelihood(ssm, states, y) + log_prior - log_proposal
+    top = log_w.max()
     if not np.isfinite(top):
         raise NumericalDegeneracyError(f"importance log weights degenerate (max {top})")
     w = np.exp(log_w - top)
-    w = w / w.sum()
+    w /= w.sum()
     return WeightReport(weights=w, n_eff=effective_sample_size(w), route=route)
 
 

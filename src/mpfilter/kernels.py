@@ -3,7 +3,7 @@
 The bandwidth matrix is ``A = alpha * Q`` where ``Q`` is the diagonal
 model error covariance.  The filter needs one pairwise product of the
 kernel, the Gram matrix (:meth:`GaussianKernel.interactions`, from the
-particles whitened by ``A`` and ``core.pairwise_sq_distances``); the KL
+particles whitened by ``A`` and ``core.neg_half_sq_distances``); the KL
 gradient forms both its attraction and its repulsion from it.  The
 pointwise value and derivatives, the closed forms the tests check the Gram
 matrix and the repulsion against, live in ``tests/oracles.py``.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpfilter.core import ContractViolation, Covariance, pairwise_sq_distances
+from mpfilter.core import ContractViolation, Covariance, neg_half_sq_distances
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class GaussianKernel:
         return cls(bandwidth=q.scaled(alpha))
 
     def interactions(self, states: np.ndarray) -> np.ndarray:
-        """The pairwise pass over a particle set: the Gram matrix
-        ``G[l, j] = K(x_l, x_j)``.
+        """The pairwise pass over a particle set (a 2-D float array): the
+        Gram matrix ``G[l, j] = K(x_l, x_j)``.
 
         The KL gradient (attraction and repulsion both) and the KDE reuse
         it, which is where the O(N_p^2) cost of the filter lives.  The
@@ -43,11 +43,9 @@ class GaussianKernel:
         self-distances near but not at 0; they are set to exactly 0, so
         ``K(x, x) = 1`` even when the other distances have overflowed.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):
             m = states.sum(axis=0) / states.shape[0]  # np.mean's arithmetic
-        z, n = self.bandwidth.whiten(states, m)
-        d = pairwise_sq_distances(z, n, z.copy(), n)  # a copy: no syrk path
+            z, h = self.bandwidth.whiten(states, m)
+            d = neg_half_sq_distances(z, h, z.copy(), h)  # a copy: no syrk path
         np.fill_diagonal(d, 0.0)
-        d *= -0.5
         return np.exp(d, out=d)

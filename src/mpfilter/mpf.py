@@ -15,10 +15,11 @@ The O(N_p^2) work -- the Gram matrix and one evaluation of the mixture
 (its responsibilities and log density from one softmax) -- is done once
 per set of particle positions and shared by the gradient at those
 positions, the N_eff rule after the update that produced them and the
-cycle's closing weight report.  Each takes its distances from the
-particles whitened once (``Covariance.whiten``) and one in-place product
-(``core.pairwise_sq_distances``); the mixture centers' whitening is done
+cycle's closing weight report.  Each takes its terms from the particles
+whitened once (``Covariance.whiten``) and one in-place product
+(``core.neg_half_sq_distances``); the mixture centers' whitening is done
 once per cycle, and the KL of the weights only for the closing report.
+:func:`mapping_cycle` checks its inputs once; what it calls trusts them.
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ class MappingConfig:
         return t
 
 
+def _decay(acc: np.ndarray, rate: float, x: np.ndarray):
+    """``acc = rate * acc + (1 - rate) * x``, in place."""
+    acc *= rate
+    acc += (1.0 - rate) * x
+
+
 class SgdOptimizer:
     def __init__(self, cfg: MappingConfig, shape):
         self.lr = cfg.learning_rate
@@ -116,13 +123,11 @@ class AdadeltaOptimizer:
         self.acc_delta = np.zeros(shape)
 
     def step(self, grads: np.ndarray) -> np.ndarray:
-        self.acc_grad = self.rho * self.acc_grad + (1.0 - self.rho) * grads**2
-        delta = (
-            -np.sqrt(self.acc_delta + self.lr2)
-            / np.sqrt(self.acc_grad + self.lr2)
-            * grads
-        )
-        self.acc_delta = self.rho * self.acc_delta + (1.0 - self.rho) * delta**2
+        _decay(self.acc_grad, self.rho, grads * grads)
+        delta = -np.sqrt(self.acc_delta + self.lr2)
+        delta /= np.sqrt(self.acc_grad + self.lr2)
+        delta *= grads
+        _decay(self.acc_delta, self.rho, delta * delta)
         return delta
 
 
@@ -138,11 +143,12 @@ class AdamOptimizer:
 
     def step(self, grads: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = self.b1 * self.m + (1.0 - self.b1) * grads
-        self.v = self.b2 * self.v + (1.0 - self.b2) * grads**2
-        m_hat = self.m / (1.0 - self.b1**self.t)
-        v_hat = self.v / (1.0 - self.b2**self.t)
-        return -self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        _decay(self.m, self.b1, grads)
+        _decay(self.v, self.b2, grads * grads)
+        delta = self.m / (1.0 - self.b1**self.t)
+        delta *= -self.lr
+        delta /= np.sqrt(self.v / (1.0 - self.b2**self.t)) + self.eps
+        return delta
 
 
 def make_optimizer(cfg: MappingConfig, shape):
@@ -163,18 +169,15 @@ def kl_gradient_field(
     already.  The second term is the repulsion; with a single particle the
     field collapses to ``-g`` (the 3D-Var limit).
     """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    logp_grads = np.atleast_2d(np.asarray(logp_grads, dtype=float))
     if logp_grads.shape != states.shape:
         raise ContractViolation("logp_grads shape must match particle states")
     gram = kernel.interactions(states) if gram is None else gram
-    n_p = states.shape[0]
     attract = gram.T @ logp_grads  # sum_l G[l, j] g_l
     # sum_l grad_source(x_l, x_j) = -A^{-1} sum_l G[l, j] (x_l - x_j)
     repulse = -kernel.bandwidth.solve(
         gram.T @ states - gram.sum(axis=0)[:, None] * states
     )
-    return -(attract + repulse) / n_p
+    return -(attract + repulse) / states.shape[0]
 
 
 def check_convergence(
@@ -219,12 +222,12 @@ def _kde_report(ssm, prior, kernel, states, y, pairs) -> WeightReport:
 
 @contextmanager
 def _aborts_at(cycle: int | None, iteration: int):
-    """Prefix an error raised inside with where the mapping stopped."""
+    """Prefix the message of an error raised inside with where the mapping stopped."""
     try:
         yield
     except Exception as exc:
-        msg = f"mapping aborted at cycle {cycle}, iteration {iteration}: {exc}"
-        raise type(exc)(msg) from exc
+        exc.args = (f"mapping aborted at cycle {cycle}, iteration {iteration}: {exc}",)
+        raise
 
 
 def mapping_cycle(
@@ -245,6 +248,9 @@ def mapping_cycle(
     """
     states = forecast.states.copy()
     n_p, n_x = states.shape
+    y = np.asarray(y, dtype=float)
+    if y.shape != (ssm.obs_matrix.shape[0],):
+        raise ContractViolation(f"observation shape {y.shape} does not match H")
     opt = make_optimizer(cfg, states.shape)
     want_neff = cfg.criterion == "neff"
     grad_norms: list[float] = []
@@ -261,15 +267,14 @@ def mapping_cycle(
             gram, mixture = pairs
             logp_grads = log_posterior_grad(ssm, prior, states, y, mixture=mixture)
             field_vals = kl_gradient_field(kernel, states, logp_grads, gram)
-        bad = ~np.all(np.isfinite(field_vals), axis=-1)
-        if np.any(bad):
-            raise NonFiniteGradientError(int(np.argmax(bad)), i, cycle)
+        if not np.isfinite(field_vals).all():  # name the first bad particle
+            bad = int(np.argmin(np.isfinite(field_vals).all(axis=1)))
+            raise NonFiniteGradientError(bad, i, cycle)
         # the mean row norm, with np.linalg.norm's and np.mean's arithmetic
         norms = np.sqrt((field_vals * field_vals).sum(axis=1))
         grad_norms.append(float(norms.sum() / n_p))
 
-        deltas = opt.step(field_vals)
-        states = states + deltas
+        states += opt.step(field_vals)
         pairs = None
         iterations = i + 1
 

@@ -7,10 +7,11 @@ Gaussian observation likelihood.  The mapping needs only the gradient of
 the log posterior, and the importance report the mixture's log density;
 :meth:`PriorMixture.evaluate` gives both the responsibilities and that log
 density from one max-shifted softmax (at 40 dimensions the raw exponentials
-underflow), once per set of particle positions, computed in place.  The
-centers are frozen for the cycle, so the mixture whitens them once, when it
-is built; each evaluation whitens only the particles.  The log-posterior
-value itself is a test oracle, in ``tests/oracles.py``.
+underflow), once per set of particle positions, computed in place under one
+``np.errstate`` on trusted 2-D float input.  The centers are frozen for the
+cycle, so the mixture whitens them once, when it is built; each evaluation
+whitens only the particles.  The log-posterior value itself is a test
+oracle, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mpfilter.core import ContractViolation, Covariance, pairwise_sq_distances
+from mpfilter.core import ContractViolation, Covariance, neg_half_sq_distances
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -92,21 +93,18 @@ class PriorMixture:
             if w.shape != (n_p,) or np.any(w < 0.0):
                 raise ContractViolation("mixture weights must be a probability vector")
             self.weights = w / w.sum()
-        with np.errstate(divide="ignore"):
+        # log(0) is -inf; the centers are frozen for the cycle: whiten once
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             self.log_weights = np.log(self.weights)
-        # the centers are frozen for the cycle: whiten them once
-        with np.errstate(over="ignore", invalid="ignore"):
             self._mean = self.centers.mean(axis=0)
-        self._z, self._norms = self.q.whiten(self.centers, self._mean)
+            self._z, self._half_norms = self.q.whiten(self.centers, self._mean)
 
-    def log_psi(self, x: np.ndarray) -> np.ndarray:
+    def _log_psi(self, x: np.ndarray) -> np.ndarray:
         """Per-component log weights ``log w_m - 1/2 ||x - c_m||^2_Q``, a
-        fresh array per call."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        z, n = self.q.whiten(x, self._mean)
-        d = pairwise_sq_distances(z, n, self._z, self._norms)
-        d *= 0.5
-        return np.subtract(self.log_weights, d, out=d)
+        fresh array per call, under :meth:`evaluate`'s ``np.errstate``."""
+        z, h = self.q.whiten(x, self._mean)
+        d = neg_half_sq_distances(z, h, self._z, self._half_norms)
+        return np.add(d, self.log_weights, out=d)
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The mixture at each row of ``x`` from one softmax of its log-psi:
@@ -115,13 +113,14 @@ class PriorMixture:
         ``s`` its row sums and ``top`` the row maximum (0 for a row whose
         components are all ``-inf``; its log density is ``-inf`` and its
         responsibilities NaN, which :func:`log_posterior_grad` rejects)."""
-        log_psi = self.log_psi(x)
-        top = log_psi.max(axis=1, keepdims=True)
-        top = np.where(np.isfinite(top), top, 0.0)
-        log_psi -= top
-        p = np.exp(log_psi, out=log_psi)
-        s = p.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: all -inf
+        # overflow far from the centers is -inf; s = 0 where a row is all -inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            log_psi = self._log_psi(x)
+            top = log_psi.max(axis=1, keepdims=True)
+            top = np.where(np.isfinite(top), top, 0.0)
+            log_psi -= top
+            p = np.exp(log_psi, out=log_psi)
+            s = p.sum(axis=1, keepdims=True)
             p /= s
             return p, np.log(s[:, 0]) + top[:, 0]
 
@@ -144,15 +143,14 @@ def log_posterior_grad(
     responsibilities are the softmax of the mixture components at ``x``
     (read from ``mixture = prior.evaluate(x)`` when it is given).
     """
-    x_in = np.asarray(x, dtype=float)
-    x_arr = np.atleast_2d(x_in)
-    resp, log_density = prior.evaluate(x_arr) if mixture is None else mixture
-    if np.any(log_density == -np.inf):
+    xs = x if x.ndim > 1 else x[None]
+    resp, log_density = prior.evaluate(xs) if mixture is None else mixture
+    if (log_density == -np.inf).any():
         bad = int(np.argmin(log_density))
         raise NumericalDegeneracyError(
             f"mixture responsibilities underflowed at particle {bad}"
         )
     centers_bar = resp @ prior.centers
-    innov = np.asarray(y, dtype=float) - ssm.observe(x_arr)
-    grad = ssm.r.solve(innov) @ ssm.obs_matrix - ssm.q.solve(x_arr - centers_bar)
-    return grad if x_in.ndim > 1 else grad[0]
+    innov = y - xs @ ssm.obs_matrix.T
+    grad = ssm.r.solve(innov) @ ssm.obs_matrix - ssm.q.solve(xs - centers_bar)
+    return grad if x.ndim > 1 else grad[0]

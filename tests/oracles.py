@@ -15,7 +15,9 @@ finite differences:
 * the pairwise Mahalanobis distances as a difference tensor, and as the
   allocating one-product form whose bits the in-place Gram matrix and
   mixture evaluation must keep, with the Gram matrix, log-psi and mixture
-  evaluation written on either.
+  evaluation written on either;
+* the Adadelta and Adam steps in their allocating form, whose bits the
+  in-place optimizers must keep.
 """
 
 import numpy as np
@@ -70,7 +72,7 @@ def softmax_responsibilities(log_psi: np.ndarray) -> np.ndarray:
 def log_posterior_unnormalized(ssm, prior, x, y):
     """Log of the sequential posterior up to an additive constant."""
     x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    out = (logsumexp(prior.log_psi(x_arr), axis=1)
+    out = (logsumexp(mixture_log_psi(prior, x_arr), axis=1)
            + np.atleast_1d(log_likelihood(ssm, x_arr, y)))
     return out if np.asarray(x).ndim > 1 else float(out[0])
 
@@ -117,3 +119,32 @@ def mixture_evaluate(prior, x, pairwise=allocating_form):
     s = p.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: all -inf
         return p / s, np.log(s[:, 0]) + top[:, 0]
+
+
+def allocating_adadelta(rho, learning_rate, grads_seq):
+    """Adadelta's steps as first written, every accumulator a new array per
+    step: the bits the in-place optimizer must keep."""
+    lr2 = learning_rate**2
+    acc_grad = np.zeros_like(grads_seq[0])
+    acc_delta = np.zeros_like(grads_seq[0])
+    steps = []
+    for grads in grads_seq:
+        acc_grad = rho * acc_grad + (1.0 - rho) * grads**2
+        delta = -np.sqrt(acc_delta + lr2) / np.sqrt(acc_grad + lr2) * grads
+        acc_delta = rho * acc_delta + (1.0 - rho) * delta**2
+        steps.append(delta)
+    return steps
+
+
+def allocating_adam(learning_rate, b1, b2, eps, grads_seq):
+    """Adam's steps as first written, every moment a new array per step."""
+    m = np.zeros_like(grads_seq[0])
+    v = np.zeros_like(grads_seq[0])
+    steps = []
+    for t, grads in enumerate(grads_seq, start=1):
+        m = b1 * m + (1.0 - b1) * grads
+        v = b2 * v + (1.0 - b2) * grads**2
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        steps.append(-learning_rate * m_hat / (np.sqrt(v_hat) + eps))
+    return steps

@@ -5,11 +5,14 @@ A public name is a top-level function, class or constant of a module, or a
 public method or property (or ``__call__``) of a top-level class.  It counts
 as used when ``src/`` or ``perfbench/`` (its tests excluded) names it outside
 its own definition: as a variable, an attribute, or a dotted string such as
-the benchmark's ``"GaussianKernel.interactions"`` trace targets.  A class's
-``__call__`` counts as used when a name annotated with that class is called.
-Imports, ``__all__`` and docstrings do not count.  There is no allowlist: a
-reference form only tests need (a pointwise kernel value or derivative, the
-log posterior) lives in ``tests/oracles.py``, not in ``src/``.
+the benchmark's ``"GaussianKernel.interactions"`` trace targets.  An
+attribute chain rooted at a name the file imports from outside the package
+does not count: ``np.linalg.solve`` is numpy's, not ``Covariance.solve``'s
+caller.  A class's ``__call__`` counts as used when a name annotated with
+that class is called.  Imports, ``__all__`` and docstrings do not count.
+There is no allowlist: a reference form only tests need (a pointwise
+kernel value or derivative, the log posterior) lives in
+``tests/oracles.py``, not in ``src/``.
 """
 
 import ast
@@ -53,6 +56,25 @@ def public_names() -> dict[str, str]:
     return out
 
 
+def _foreign_imports(tree: ast.Module) -> set[str]:
+    """Names a file binds by importing from outside the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names
+                         if a.name.partition(".")[0] != "mpfilter")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.partition(".")[0] != "mpfilter"):
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _root(node: ast.Attribute) -> str | None:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 class _References(ast.NodeVisitor):
     """Bare names referenced, skipping each definition's own body for its
     own name (recursion is not a caller)."""
@@ -62,6 +84,7 @@ class _References(ast.NodeVisitor):
         self._inside: list[str] = []
         self._annotated: dict[str, set[str]] = {}  # variable -> class names
         self._called: set[str] = set()
+        self._foreign: set[str] = set()  # of the file being visited
 
     def _add(self, name: str):
         if name not in self._inside:
@@ -77,8 +100,13 @@ class _References(ast.NodeVisitor):
     def visit_Name(self, node):
         self._add(node.id)
 
+    def visit_Module(self, node):
+        self._foreign = _foreign_imports(node)
+        self.generic_visit(node)
+
     def visit_Attribute(self, node):
-        self._add(node.attr)
+        if _root(node) not in self._foreign:
+            self._add(node.attr)
         self.generic_visit(node)
 
     def _annotate(self, name: str, annotation):

@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpfilter.core as core
 from mpfilter.core import (
     ContractViolation,
     Covariance,
     CovarianceError,
     Ensemble,
-    pairwise_sq_distances,
+    neg_half_sq_distances,
 )
-from oracles import allocating_form, difference_tensor_form
+from mpfilter.kernels import GaussianKernel
+from mpfilter.ssm import PriorMixture
+from oracles import (allocating_form, difference_tensor_form, gram_matrix,
+                     mixture_evaluate)
 
 
 class TestCovarianceConstruction:
@@ -73,9 +77,11 @@ class TestQuadraticForm:
 
 def pairwise_form(cov, a, b):
     """The program's pairwise distances: both sets whitened on the mean of
-    ``b``, then the one in-place product."""
+    ``b``, then the one in-place product of minus half the distances, under
+    the ``np.errstate`` its public callers run it in, times -2 (exact)."""
     m = b.mean(axis=0)
-    return pairwise_sq_distances(*cov.whiten(a, m), *cov.whiten(b, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -2.0 * neg_half_sq_distances(*cov.whiten(a, m), *cov.whiten(b, m))
 
 
 def gemm_tolerance(cov, *xs):
@@ -139,16 +145,19 @@ class TestPairwiseQuadraticForm:
 
     def test_overflow_is_inf(self):
         # rows near 1e200 have squared distances beyond the float range:
-        # they come back as inf, never NaN, and with no RuntimeWarning
+        # they come back as inf, never NaN, and the public entries that run
+        # the pass (the Gram matrix, the mixture) raise no RuntimeWarning
         rng = np.random.default_rng(4)
         cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=3))
         x = 1e200 * rng.standard_normal((5, 3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            d = pairwise_form(cov, x, x)
+        d = pairwise_form(cov, x, x)
         assert not np.any(np.isnan(d))
         off_diagonal = ~np.eye(5, dtype=bool)
         assert np.all(d[off_diagonal] == np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            GaussianKernel(cov).interactions(x)
+            PriorMixture(x, cov).evaluate(x)
 
 
 class TestSolve:
@@ -210,3 +219,76 @@ class TestEnsemble:
     def test_default_weights_sum_to_one(self, n):
         ens = Ensemble.equal_weight(np.zeros((n, 2)))
         assert ens.weights.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+class _NanScanSpy:
+    """``numpy`` as ``mpfilter.core`` sees it, counting the NaN scans."""
+
+    def __init__(self):
+        self.scans = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def isnan(self, *args, **kwargs):
+        self.scans += 1
+        return np.isnan(*args, **kwargs)
+
+
+class TestFoldAgainstOracles:
+    """The folded half distances keep the bits of the parent's allocating
+    form (``tests/oracles.py``) on both sides of the NaN-scan guard."""
+
+    @pytest.mark.parametrize("n_p,n_x", [(5, 3), (20, 40), (100, 3)])
+    @pytest.mark.parametrize("scale,scans", [(1.0, 0), (1e200, 2)])
+    def test_gram_and_mixture_match_oracles(self, monkeypatch, n_p, n_x, scale, scans):
+        # ordinary rows: every half norm is finite, so neither the Gram
+        # matrix nor the mixture scans for NaN; rows near 1e200 overflow
+        # their norms, so both scan, and the overflow is -inf, not NaN
+        spy = _NanScanSpy()
+        monkeypatch.setattr(core, "np", spy)
+        rng = np.random.default_rng(n_p * n_x)
+        q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
+        kernel = GaussianKernel.from_model_error(q, float(rng.uniform(0.5, 20.0)))
+        weights = rng.uniform(0.1, 1.0, size=n_p)
+        weights[rng.random(n_p) < 0.3] = 0.0
+        weights[0] = 1.0
+        prior = PriorMixture(3.0 * rng.standard_normal((n_p, n_x)), q, weights=weights)
+        states = 3.0 * rng.standard_normal((n_p, n_x))
+        states[[1, 3]] *= scale
+        gram = kernel.interactions(states)
+        resp, log_density = prior.evaluate(states)
+        assert spy.scans == scans
+        np.testing.assert_array_equal(gram, gram_matrix(kernel.bandwidth, states))
+        old_resp, old_log_density = mixture_evaluate(prior, states)
+        np.testing.assert_array_equal(resp, old_resp)
+        np.testing.assert_array_equal(log_density, old_log_density)
+        assert not np.any(np.isnan(gram)) and not np.any(np.isnan(log_density))
+        assert np.all(resp[:, weights == 0.0][np.isfinite(log_density)] == 0.0)
+        if scans:
+            assert log_density[1] == log_density[3] == -np.inf
+
+    def test_fold_differs_only_at_the_ends_of_the_float_range(self):
+        # the inputs where the fold differs from the parent's form.  First a
+        # state 1e154 whitened units from the mean, where |z_a|^2 + |z_b|^2
+        # = 2e308 overflows and h_a + h_b = 1e308 does not.  The particle
+        # sits on a center: the fold finds distance 0 there, the allocating
+        # form -inf.  The Gram matrix keeps the oracle's bits, as exp of
+        # -1e308 and of -inf are both 0.
+        q = Covariance.diagonal([1.0])
+        c = 1e154
+        prior = PriorMixture(np.array([[-c], [c]]), q)
+        x = np.array([[c]])
+        assert mixture_evaluate(prior, x)[1][0] == -np.inf
+        assert prior.evaluate(x)[1][0] == np.log(0.5)
+        states = np.array([[-c], [c], [0.0]])
+        np.testing.assert_array_equal(GaussianKernel(q).interactions(states),
+                                      gram_matrix(q, states))
+        # Then subnormal squared norms, within about 1e-154 of the mean,
+        # where halving rounds: on a center 4e-162 from the mean the fold
+        # reads a log density one subnormal unit below the exact 0
+        c = 4e-162
+        prior = PriorMixture(np.array([[c], [-c]]), q, weights=np.array([1.0, 0.0]))
+        x = np.array([[c]])
+        assert mixture_evaluate(prior, x)[1][0] == 0.0
+        assert prior.evaluate(x)[1][0] == -5e-324

@@ -205,7 +205,8 @@ class TestGram:
         rng = np.random.default_rng(14)
         k = random_kernel(rng, 3)
         states = 3.0 * rng.standard_normal((100, 3))
-        z, n = k.bandwidth.whiten(states, states.mean(axis=0))
+        z, h = k.bandwidth.whiten(states, states.mean(axis=0))
+        n = 2.0 * h  # the squared norms, exactly
         d = n[:, None] + n - 2.0 * (z @ z.copy().T)
         np.fill_diagonal(d, 0.0)
         np.testing.assert_array_equal(k.interactions(states),

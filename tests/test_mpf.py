@@ -25,7 +25,15 @@ from mpfilter.mpf import (
     mapping_cycle,
 )
 from mpfilter.ssm import PriorMixture, StateSpaceModel, log_posterior_grad
-from oracles import difference_tensor_form, grad_source, gram_matrix, mixture_log_psi
+import mpfilter.mpf as mpf
+from oracles import (
+    allocating_adadelta,
+    allocating_adam,
+    difference_tensor_form,
+    grad_source,
+    gram_matrix,
+    mixture_log_psi,
+)
 
 
 def kernel_1d():
@@ -185,6 +193,27 @@ class TestOptimizers:
             g = np.array([[1.0 * 0.7**i]])
             steps.append(abs(opt.step(g)[0, 0]))
         assert steps[-1] < steps[10] * 0.01
+
+    @pytest.mark.parametrize("name", ["adadelta", "adam"])
+    def test_in_place_matches_allocating_form(self, name):
+        # the same operations in the same order as the allocating form, so
+        # the same bits, over gradients spanning six decades, a particle
+        # whose gradient is always zero and one all-zero step
+        rng = np.random.default_rng(31)
+        grads = [rng.standard_normal((6, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (6, 1))
+                 for _ in range(25)]
+        for g in grads:
+            g[2] = 0.0
+        grads[10][:] = 0.0
+        cfg = MappingConfig(optimizer=name, learning_rate=0.2)
+        opt = make_optimizer(cfg, (6, 3))
+        new = [opt.step(g) for g in grads]
+        if name == "adadelta":
+            old = allocating_adadelta(cfg.adadelta_rho, cfg.learning_rate, grads)
+        else:
+            old = allocating_adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2,
+                                  cfg.adam_eps, grads)
+        assert [a.tobytes() for a in new] == [b.tobytes() for b in old]
 
     def test_nonfinite_gradient_rejected(self):
         # observation precision ~1e308/40: particles 1 and 2 sit 40 from y,
@@ -399,7 +428,7 @@ class TestSharedPairwisePass:
         # each iteration's gradient needs the pass at its positions; the
         # final positions need one more only for the report, and under the
         # neff rule that one is the last iteration's
-        calls = {"interactions": 0, "log_psi": 0, "evaluate": 0}
+        calls = {"interactions": 0, "_log_psi": 0, "evaluate": 0}
 
         def counted(cls, name):
             original = getattr(cls, name)
@@ -410,7 +439,7 @@ class TestSharedPairwisePass:
             monkeypatch.setattr(cls, name, wrapper)
 
         counted(GaussianKernel, "interactions")
-        counted(PriorMixture, "log_psi")
+        counted(PriorMixture, "_log_psi")
         counted(PriorMixture, "evaluate")
         ssm, prior, forecast, y, kernel = lorenz_like_cycle(n_x)
         cfg = MappingConfig(criterion=criterion, learning_rate=0.2,
@@ -418,7 +447,7 @@ class TestSharedPairwisePass:
         result = mapping_cycle(ssm, prior, forecast, y, kernel, cfg)
         assert result.iterations >= 2
         expected = result.iterations + closing_passes
-        assert calls == {"interactions": expected, "log_psi": expected,
+        assert calls == {"interactions": expected, "_log_psi": expected,
                          "evaluate": expected}
 
 
@@ -435,9 +464,34 @@ class TestPairwiseFormStoppingIterations:
         # both consumers of pairwise distances: the Gram and the mixture
         monkeypatch.setattr(GaussianKernel, "interactions", lambda self, x: gram_matrix(
             self.bandwidth, np.atleast_2d(x), difference_tensor_form))
-        monkeypatch.setattr(PriorMixture, "log_psi", lambda self, x: mixture_log_psi(
+        monkeypatch.setattr(PriorMixture, "_log_psi", lambda self, x: mixture_log_psi(
             self, np.atleast_2d(x), difference_tensor_form))
         tensor = run()
         assert [r.map_iterations for r in gemm] == [r.map_iterations for r in tensor]
         np.testing.assert_allclose([r.rmse for r in gemm], [r.rmse for r in tensor],
                                    rtol=1e-9, atol=0.0)
+
+
+class TwoArgError(RuntimeError):
+    """An error whose constructor does not take a message."""
+
+    def __init__(self, particle: int, iteration: int):
+        super().__init__(f"particle {particle} failed at iteration {iteration}")
+        self.particle = particle
+        self.iteration = iteration
+
+
+def test_abort_keeps_the_error(monkeypatch):
+    # the mapping names where it stopped in the message, and re-raises the
+    # error itself: same type, same attributes, no second construction
+    def fail(*args, **kwargs):
+        raise TwoArgError(3, 1)
+
+    monkeypatch.setattr(mpf, "kl_gradient_field", fail)
+    ssm, prior, forecast, y, kernel = lorenz_like_cycle(3)
+    with pytest.raises(TwoArgError) as err:
+        mapping_cycle(ssm, prior, forecast, y, kernel, MappingConfig(), cycle=7)
+    assert type(err.value) is TwoArgError
+    assert (err.value.particle, err.value.iteration) == (3, 1)
+    assert str(err.value) == (
+        "mapping aborted at cycle 7, iteration 0: particle 3 failed at iteration 1")

@@ -89,14 +89,14 @@ class TestPriorMixture:
         x = rng.standard_normal(2)
         direct = np.log(np.mean(
             [np.exp(-0.5 * q.quadratic_form(x - c)) for c in centers]))
-        assert prior.evaluate(x)[1][0] == pytest.approx(direct, rel=1e-12)
+        assert prior.evaluate(x[None])[1][0] == pytest.approx(direct, rel=1e-12)
 
     def test_weight_renormalization_invariance(self):
         centers = np.array([[0.0], [2.0]])
         q = Covariance.diagonal([1.0])
         a = PriorMixture(centers, q, weights=np.array([0.25, 0.75]))
         b = PriorMixture(centers, q, weights=np.array([1.0, 3.0]))
-        x = np.array([0.7])
+        x = np.array([[0.7]])
         assert a.evaluate(x)[1][0] == pytest.approx(b.evaluate(x)[1][0], rel=1e-14)
 
     def test_high_dimension_no_underflow(self):
@@ -121,17 +121,21 @@ class TestPriorMixture:
         old = prior.log_weights[None, :] - 0.5 * q.quadratic_form(diffs)
         tol = 1e-13 * max(1.0, q.quadratic_form(x).max(),
                           q.quadratic_form(prior.centers).max())
-        np.testing.assert_allclose(prior.log_psi(x), old, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(prior._log_psi(x), old, rtol=0.0, atol=tol)
 
     def test_log_psi_overflow_is_minus_inf(self):
         # points near 1e200 are infinitely far from every center: log-psi
-        # is -inf, with no NaN and no RuntimeWarning
+        # is -inf, with no NaN, and the evaluation raises no RuntimeWarning
+        # (its log density is -inf exactly when every component is)
         rng = np.random.default_rng(6)
         prior = PriorMixture(rng.standard_normal((7, 3)), Covariance.isotropic(0.5, 3))
         x = 1e200 * rng.standard_normal((5, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            log_psi = prior.log_psi(x)
+            _, log_density = prior.evaluate(x)
+        assert np.all(log_density == -np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):  # evaluate's
+            log_psi = prior._log_psi(x)
         assert np.all(log_psi == -np.inf)
 
     @pytest.mark.parametrize("n_x_pts,n_c", [(1, 1), (7, 5), (100, 100)])
@@ -143,8 +147,8 @@ class TestPriorMixture:
         log_psi = -rng.exponential(300.0, size=(n_x_pts, n_c))
         log_psi[rng.random(log_psi.shape) < 0.2] = -np.inf
         log_psi[:, rng.integers(n_c)] = -rng.exponential(3.0, size=n_x_pts)
-        # evaluate writes into the fresh array log_psi returns per call
-        monkeypatch.setattr(PriorMixture, "log_psi", lambda self, x: log_psi.copy())
+        # evaluate writes into the fresh array _log_psi returns per call
+        monkeypatch.setattr(PriorMixture, "_log_psi", lambda self, x: log_psi.copy())
         prior = PriorMixture(np.zeros((n_c, 1)), Covariance.diagonal([1.0]))
         resp, log_density = prior.evaluate(np.zeros((n_x_pts, 1)))
         np.testing.assert_array_equal(resp, softmax_responsibilities(log_psi))
@@ -156,8 +160,8 @@ class TestPriorMixture:
         rng = np.random.default_rng(7)
         log_psi = -rng.exponential(30.0, size=(8, 6))
         log_psi[[3, 5]] = -np.inf
-        # evaluate writes into the fresh array log_psi returns per call
-        monkeypatch.setattr(PriorMixture, "log_psi", lambda self, x: log_psi.copy())
+        # evaluate writes into the fresh array _log_psi returns per call
+        monkeypatch.setattr(PriorMixture, "_log_psi", lambda self, x: log_psi.copy())
         ssm = make_ssm(n_x=1)
         prior = PriorMixture(rng.standard_normal((6, 1)), ssm.q)
         x, y = rng.standard_normal((8, 1)), np.array([0.3])
@@ -187,7 +191,9 @@ class TestPriorMixture:
         prior = PriorMixture(centers, q, weights=weights)
         x = 3.0 * rng.standard_normal((n_pts, n_x))
         x[[1, 3]] *= 1e200
-        np.testing.assert_array_equal(prior.log_psi(x), mixture_log_psi(prior, x))
+        with np.errstate(over="ignore", invalid="ignore"):  # evaluate's
+            log_psi = prior._log_psi(x)
+        np.testing.assert_array_equal(log_psi, mixture_log_psi(prior, x))
         resp, log_density = prior.evaluate(x)
         old_resp, old_log_density = mixture_evaluate(prior, x)
         np.testing.assert_array_equal(resp, old_resp)
