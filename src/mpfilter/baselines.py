@@ -66,7 +66,7 @@ def sir_cycle(
     """
     _, states = ssm.forecast(ens.states, particle_rngs, t0)
     n_p = states.shape[0]
-    log_lik = np.atleast_1d(log_likelihood(ssm, states, y))
+    log_lik = log_likelihood(ssm, states, y)
     with np.errstate(divide="ignore"):
         log_w = np.log(ens.weights) + log_lik
     log_w = log_w - np.max(log_w)

@@ -48,11 +48,6 @@ _MODEL_DEFAULTS: dict[str, dict[str, object]] = {
 }
 MODELS = tuple(_MODEL_DEFAULTS)
 FILTERS = ("mpf", "sir", "enkf")  # FILTERS[1:], the baselines, name the preset twins
-OBS_OPERATORS = {
-    "lorenz63": ("full", "xonly", "zonly"),
-    "lorenz96": ("full", "every2"),
-    "cholera": ("mortality",),
-}
 CRITERIA = ("auto",) + mpf.CRITERIA
 
 
@@ -232,11 +227,6 @@ def validate(cfg: ExperimentConfig) -> None:
     """Every rule ``run`` would apply to ``cfg`` before its first cycle."""
     if cfg.filter not in FILTERS:
         raise ConfigError(f"unknown filter {cfg.filter!r}; choose from {FILTERS}")
-    if cfg.obs_operator not in OBS_OPERATORS[cfg.model]:
-        raise ConfigError(
-            f"obs_operator {cfg.obs_operator!r} invalid for {cfg.model}; "
-            f"choose from {OBS_OPERATORS[cfg.model]}"
-        )
     if cfg.mpf_criterion not in CRITERIA:
         raise ConfigError(f"unknown mpf.criterion {cfg.mpf_criterion!r}")
     if cfg.seed < 0:
@@ -253,7 +243,13 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("dt, r_variance and kernel.alpha must be > 0")
     if not 0.0 < cfg.mpf_neff_threshold <= 1.0:
         raise ConfigError("mpf.neff_threshold is a fraction of N_p in (0, 1]")
-    n_x = build_model(cfg).n_x
+    model = build_model(cfg)
+    if cfg.obs_operator not in model.obs_operators:
+        raise ConfigError(
+            f"obs_operator {cfg.obs_operator!r} invalid for {cfg.model}; "
+            f"choose from {tuple(model.obs_operators)}"
+        )
+    n_x = model.n_x
     if cfg.mpf_criterion == "neff" and n_x > KDE_MAX_DIM:
         raise ConfigError(
             f"mpf.criterion = neff needs KDE weights, which are limited to "
@@ -262,8 +258,8 @@ def validate(cfg: ExperimentConfig) -> None:
     _check_section("mpf", lambda: resolve_mapping_config(cfg, n_x))
     _check_section("sir", lambda: SirConfig(cfg.sir_resample_threshold, cfg.sir_resampler))
     kind, vals = parse_q_spec(cfg.q_spec)
-    if kind == "climatological" and cfg.model == "cholera":
-        raise ConfigError("q_spec climatological is not defined for cholera; use diag:...")
+    if kind not in model.q_kinds:
+        raise ConfigError(f"q_spec {kind} is not defined for {cfg.model}; use diag:...")
     if kind == "diag" and len(vals) not in (1, n_x):
         raise ConfigError(f"q_spec diag needs 1 or {n_x} values, got {len(vals)}")
 

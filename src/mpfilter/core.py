@@ -161,10 +161,6 @@ class Ensemble:
     def n_particles(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def n_x(self) -> int:
-        return self.states.shape[1]
-
     def mean_and_spread(self) -> tuple[np.ndarray, float]:
         """Weighted mean and spread.
 

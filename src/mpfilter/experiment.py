@@ -4,22 +4,22 @@ A twin experiment generates a stochastic truth trajectory and synthetic
 observations with the same model and statistics the filter uses (the
 model's ``twin_window``), runs the chosen filter (MPF, SIR or EnKF) as one
 ``step(ssm, ensemble, y, t0, cycle) -> (Ensemble, CycleDiag)`` per cycle and
-writes one CSV row per assimilation cycle.  Identical (config, seed) pairs
-give identical numerical output.
+writes one CSV row per assimilation cycle.  Setup names no model either:
+the model gives its start, initial ensemble, observation operator and
+climatology.  Identical (config, seed) pairs give identical numerical
+output.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
-from importlib import resources
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from mpfilter.baselines import SirConfig, enkf_cycle, sir_cycle
 from mpfilter.config import (
-    ConfigError,
     ExperimentConfig,
     build_model,
     default_cholera_params_path,  # noqa: F401  re-exported for the benchmark
@@ -30,7 +30,6 @@ from mpfilter.config import (
 from mpfilter.core import Covariance, Ensemble
 from mpfilter.diagnostics import CycleDiag, score_cycle, weight_variance
 from mpfilter.kernels import GaussianKernel
-from mpfilter.models import advance_window, climatological_variance, free_run
 from mpfilter.mpf import MappingConfig, mapping_cycle
 from mpfilter.rng import RandomStream
 from mpfilter.ssm import PriorMixture, StateSpaceModel
@@ -81,43 +80,6 @@ class RunResult:
         return float(np.mean([r.rmse for r in self.records[skip:]]))
 
 
-def _table_key(model, entry: str) -> str:
-    """Key of an ODE model's entry in ``data/start_states.npz``: the model
-    name, every dataclass field as ``field:repr(value)``, then ``entry``
-    (``climatology``, or ``spinup:<steps>`` for a start)."""
-    params = [f"{f.name}:{getattr(model, f.name)!r}" for f in fields(model)]
-    return " ".join([model.name, *params, entry])
-
-
-def _shipped(model, entry: str, compute) -> np.ndarray:
-    """``compute()``, read from the shipped ``data/start_states.npz`` when
-    it lists the model's ``entry``."""
-    with (resources.files("mpfilter") / "data" / "start_states.npz").open("rb") as f, \
-            np.load(f, allow_pickle=False) as table:
-        key = _table_key(model, entry)
-        if key in table.files:
-            return table[key]
-    return compute()
-
-
-def observation_matrix(cfg: ExperimentConfig, model) -> np.ndarray:
-    n_x = model.n_x
-    window = cfg.cycle_steps * cfg.dt
-    if cfg.obs_operator == "full":
-        return np.eye(n_x)
-    if cfg.obs_operator == "xonly":
-        return np.eye(n_x)[:1]
-    if cfg.obs_operator == "zonly":
-        return np.eye(n_x)[2:3]
-    if cfg.obs_operator == "every2":
-        return np.eye(n_x)[::2]
-    if cfg.obs_operator == "mortality":
-        h = np.zeros((1, n_x))
-        h[0, 1] = model.params.m_c * window  # mortality rate of the infected pool
-        return h
-    raise ConfigError(f"unknown obs_operator {cfg.obs_operator!r}")
-
-
 def resolve_q_diagonal(cfg: ExperimentConfig, model) -> np.ndarray:
     """Model error variances from the q_spec string.
 
@@ -129,9 +91,8 @@ def resolve_q_diagonal(cfg: ExperimentConfig, model) -> np.ndarray:
     kind, vals = parse_q_spec(cfg.q_spec)
     if kind == "diag":
         return np.full(model.n_x, vals[0]) if len(vals) == 1 else np.asarray(vals)
-    climatology = _shipped(model, "climatology", lambda: climatological_variance(model))
     window = cfg.cycle_steps * cfg.dt
-    return vals[0] * climatology * window
+    return vals[0] * model.climatology() * window
 
 
 @dataclass
@@ -148,60 +109,25 @@ class TwinSetup:
     q_diagonal: np.ndarray
 
 
-def _integrate_start(model, spinup_steps: int) -> np.ndarray:
-    """The seed-independent start of an ODE twin experiment, integrated from
-    the model's fixed ``x0``: the Lorenz-63 truth after the spin-up, or the
-    Lorenz-96 bank of 1000 states sampled every 20 steps after the spin-up
-    (the truth is its last row; the members are drawn from the others)."""
-    if model.name == "lorenz63":
-        return advance_window(model, np.array([1.0, 1.0, 1.001]), spinup_steps)
-    x0 = np.full(model.n_x, model.forcing)
-    x0[0] += 0.01
-    spun = advance_window(model, x0, spinup_steps)
-    return free_run(model, spun, 20_000, sample_every=20)
-
-
-def _start_states(model, spinup_steps: int) -> np.ndarray:
-    """``_integrate_start(model, spinup_steps)``, shipped or integrated."""
-    return _shipped(model, f"spinup:{spinup_steps}",
-                    lambda: _integrate_start(model, spinup_steps))
-
-
 def build_setup(cfg: ExperimentConfig) -> TwinSetup:
     """Model, operators, streams and initial states of one run.
 
-    The Lorenz start (the spun-up truth, and for Lorenz-96 the bank the
-    members are drawn from) does not depend on the seed: every preset's is
-    read from ``data/start_states.npz``, and any other model or spin-up
-    length is integrated here.  Only the draws from the ``init`` stream
-    depend on the seed.
+    The model's start does not depend on the seed (the Lorenz presets read
+    theirs from ``data/start_states.npz``); only the draws from the
+    ``init`` stream do.
     """
     model = build_model(cfg)
     q_diag = resolve_q_diagonal(cfg, model)
     q = Covariance.diagonal(q_diag)
-    h = observation_matrix(cfg, model)
+    window = cfg.cycle_steps * cfg.dt
+    h = model.observation_matrix(cfg.obs_operator, window)
     r = Covariance.isotropic(cfg.r_variance, h.shape[0])
     ssm = StateSpaceModel(dynamics=model, obs_matrix=h, q=q, r=r, cycle_steps=cfg.cycle_steps)
     kernel = GaussianKernel.from_model_error(q, cfg.kernel_alpha)
     mapping = resolve_mapping_config(cfg, model.n_x)
     streams = RandomStream(cfg.seed)
-    init_rng = streams.substream("init")
-
-    if cfg.model == "lorenz63":
-        truth0 = _start_states(model, cfg.spinup_steps)
-        ens0 = Ensemble.equal_weight(truth0 + q.sample(init_rng, size=cfg.n_particles))
-    elif cfg.model == "lorenz96":
-        bank = _start_states(model, cfg.spinup_steps)
-        truth0 = bank[-1]
-        idx = init_rng.integers(0, bank.shape[0] - 1, size=cfg.n_particles)
-        ens0 = Ensemble.equal_weight(bank[idx])
-    else:
-        truth0 = model.params.initial_state()
-        start = truth0.copy()
-        start[0] *= 0.8  # filter underestimates the susceptibles by 20%
-        states = start + q.sample(init_rng, size=cfg.n_particles)
-        states[:, :5] = np.maximum(states[:, :5], 0.0)
-        ens0 = Ensemble.equal_weight(states)
+    truth0, states = model.initial_ensemble(
+        model.start(cfg.spinup_steps), q, streams.substream("init"), cfg.n_particles)
 
     return TwinSetup(
         model=model,
@@ -209,7 +135,7 @@ def build_setup(cfg: ExperimentConfig) -> TwinSetup:
         kernel=kernel,
         mapping=mapping,
         truth0=truth0,
-        ensemble0=ens0,
+        ensemble0=Ensemble.equal_weight(states),
         streams=streams,
         q_diagonal=q_diag,
     )

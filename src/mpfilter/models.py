@@ -6,11 +6,16 @@ Euler-Maruyama.  Every model advances a whole ``(N_p, n_x)`` ensemble over
 one assimilation window with ``forecast(states, t0, steps, rngs)``, where
 particle ``j`` draws any model noise from ``rngs[j]``, and generates one
 window of a twin experiment's truth and observation with ``twin_window``.
+Each model owns its setup too: ``start``, ``initial_ensemble``, the
+``observation_matrix`` of each of its ``obs_operators``, and its ``q_kinds``;
+the ODE models read their start and ``climatology`` from the shipped
+``data/start_states.npz`` when it lists them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +43,34 @@ def rk4_step(drift, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _table_key(model, entry: str) -> str:
+    """Key of an ODE model's entry in ``data/start_states.npz``: the model
+    name, every dataclass field as ``field:repr(value)``, then ``entry``
+    (``climatology``, or ``spinup:<steps>`` for a start)."""
+    params = [f"{f.name}:{getattr(model, f.name)!r}" for f in fields(model)]
+    return " ".join([model.name, *params, entry])
+
+
+def _shipped(model, entry: str, compute) -> np.ndarray:
+    """``compute()``, read from the shipped ``data/start_states.npz`` when
+    it lists the model's ``entry``."""
+    with (resources.files("mpfilter") / "data" / "start_states.npz").open("rb") as f, \
+            np.load(f, allow_pickle=False) as table:
+        key = _table_key(model, entry)
+        if key in table.files:
+            return table[key]
+    return compute()
+
+
 class OdeModel:
     """Deterministic ODE advanced with fixed-step RK4.
 
-    Subclasses define ``drift`` and ``dt``; states batch over leading axes.
+    Subclasses define ``drift``, ``dt``, ``_integrate_start`` and
+    ``obs_operators``, the rows of the identity each observation operator
+    keeps; states batch over leading axes.
     """
+
+    q_kinds = ("diag", "climatological")
 
     def step(self, x: np.ndarray) -> np.ndarray:
         return rk4_step(self.drift, np.asarray(x, dtype=float), self.dt)
@@ -61,6 +89,20 @@ class OdeModel:
         true_obs = ssm.observe(truth)
         return truth, true_obs, true_obs + ssm.r.sample(obs_rng), ssm
 
+    def start(self, spinup_steps: int) -> np.ndarray:
+        """``_integrate_start(spinup_steps)``, shipped or integrated."""
+        return _shipped(self, f"spinup:{spinup_steps}",
+                        lambda: self._integrate_start(spinup_steps))
+
+    def climatology(self) -> np.ndarray:
+        """``climatological_variance(self)``, shipped or integrated."""
+        return _shipped(self, "climatology", lambda: climatological_variance(self))
+
+    def observation_matrix(self, kind: str, window: float) -> np.ndarray:
+        """The rows ``obs_operators[kind]`` of the identity; ``window`` is
+        unused."""
+        return np.eye(self.n_x)[self.obs_operators[kind]]
+
 
 @dataclass(frozen=True)
 class Lorenz63(OdeModel):
@@ -71,6 +113,7 @@ class Lorenz63(OdeModel):
 
     name = "lorenz63"
     n_x = 3
+    obs_operators = {"full": slice(None), "xonly": slice(1), "zonly": slice(2, 3)}
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
@@ -80,6 +123,14 @@ class Lorenz63(OdeModel):
         out[..., 2] = x1 * x2 - self.beta * x3
         return out
 
+    def _integrate_start(self, spinup_steps: int) -> np.ndarray:
+        """The truth after ``spinup_steps`` from ``[1, 1, 1.001]``."""
+        return advance_window(self, np.array([1.0, 1.0, 1.001]), spinup_steps)
+
+    def initial_ensemble(self, start: np.ndarray, q: Covariance, rng, n_p: int):
+        """The truth ``start`` and ``n_p`` members one Q draw around it."""
+        return start, start + q.sample(rng, size=n_p)
+
 
 @dataclass(frozen=True)
 class Lorenz96(OdeModel):
@@ -88,6 +139,7 @@ class Lorenz96(OdeModel):
     dt: float = 0.001
 
     name = "lorenz96"
+    obs_operators = {"full": slice(None), "every2": slice(None, None, 2)}
 
     def __post_init__(self):
         if self.n_vars < 4:
@@ -107,6 +159,20 @@ class Lorenz96(OdeModel):
         out -= x
         out += self.forcing
         return out
+
+    def _integrate_start(self, spinup_steps: int) -> np.ndarray:
+        """The bank of 1000 states sampled every 20 steps after
+        ``spinup_steps`` from ``F`` with ``x_0 + 0.01``."""
+        x0 = np.full(self.n_x, self.forcing)
+        x0[0] += 0.01
+        spun = advance_window(self, x0, spinup_steps)
+        return free_run(self, spun, 20_000, sample_every=20)
+
+    def initial_ensemble(self, start: np.ndarray, q: Covariance, rng, n_p: int):
+        """The truth, the bank's last row, and ``n_p`` members drawn from
+        its other rows; ``q`` is unused."""
+        idx = rng.integers(0, start.shape[0] - 1, size=n_p)
+        return start[-1], start[idx]
 
 
 def _integrate(model, x: np.ndarray, steps: int, every: int = 0):
@@ -210,6 +276,8 @@ class CholeraModel:
 
     name = "cholera"
     n_x = 6
+    obs_operators = ("mortality",)
+    q_kinds = ("diag",)
 
     def __init__(self, params: CholeraParams):
         self.params = params
@@ -290,6 +358,25 @@ class CholeraModel:
         y = cholera_observe(delta_c, tau, obs_rng)
         r = Covariance.diagonal([max((tau * y) ** 2, R_VARIANCE_FLOOR)])
         return truth, np.array([delta_c]), np.array([y]), replace(ssm, r=r)
+
+    def start(self, spinup_steps: int) -> np.ndarray:
+        """The parameter file's initial state; there is no spin-up."""
+        return self.params.initial_state()
+
+    def initial_ensemble(self, start: np.ndarray, q: Covariance, rng, n_p: int):
+        """The truth ``start`` and ``n_p`` members one Q draw around it with
+        S underestimated by 20%, and S, I and R1-R3 clamped at 0."""
+        biased = start.copy()
+        biased[0] *= 0.8
+        states = biased + q.sample(rng, size=n_p)
+        states[:, :5] = np.maximum(states[:, :5], 0.0)
+        return start, states
+
+    def observation_matrix(self, kind: str, window: float) -> np.ndarray:
+        """The ``mortality`` row: ``m_c * window`` on the infected pool."""
+        h = np.zeros((1, self.n_x))
+        h[0, 1] = self.params.m_c * window
+        return h
 
 
 def load_cholera_params(path) -> CholeraParams:

@@ -53,10 +53,6 @@ class StateSpaceModel:
         if self.cycle_steps < 1:
             raise ContractViolation("cycle_steps must be >= 1")
 
-    @property
-    def n_x(self) -> int:
-        return self.obs_matrix.shape[1]
-
     def observe(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.obs_matrix.T
 
@@ -125,12 +121,10 @@ class PriorMixture:
             return p, np.log(s[:, 0]) + top[:, 0]
 
 
-def log_likelihood(ssm: StateSpaceModel, x: np.ndarray, y: np.ndarray):
-    """Gaussian observation log likelihood, additive constant omitted."""
-    x = np.asarray(x, dtype=float)
-    innov = np.asarray(y, dtype=float) - ssm.observe(x)
-    out = -0.5 * ssm.r.quadratic_form(innov)
-    return out if x.ndim > 1 else float(out)
+def log_likelihood(ssm: StateSpaceModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gaussian observation log likelihood of each row of the 2-D float
+    ``x``, additive constant omitted."""
+    return -0.5 * ssm.r.quadratic_form(y - x @ ssm.obs_matrix.T)
 
 
 def log_posterior_grad(

@@ -17,11 +17,22 @@ finite differences:
   mixture evaluation must keep, with the Gram matrix, log-psi and mixture
   evaluation written on either;
 * the Adadelta and Adam steps in their allocating form, whose bits the
-  in-place optimizers must keep.
+  in-place optimizers must keep;
+* the twin experiment's setup as the harness first wrote it, one branch per
+  model name: the truth and initial ensemble (with the start-state table
+  read it shares) and the observation operators, whose bits the models'
+  own ``start``, ``initial_ensemble`` and ``observation_matrix`` must keep.
 """
+
+import functools
+from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 
+from mpfilter.config import ConfigError
+from mpfilter.core import Ensemble
+from mpfilter.models import advance_window, free_run
 from mpfilter.ssm import NumericalDegeneracyError, log_likelihood
 
 
@@ -148,3 +159,85 @@ def allocating_adam(learning_rate, b1, b2, eps, grads_seq):
         v_hat = v / (1.0 - b2**t)
         steps.append(-learning_rate * m_hat / (np.sqrt(v_hat) + eps))
     return steps
+
+
+def _table_key(model, entry: str) -> str:
+    """Key of an ODE model's entry in ``data/start_states.npz``: the model
+    name, every dataclass field as ``field:repr(value)``, then ``entry``
+    (``climatology``, or ``spinup:<steps>`` for a start)."""
+    params = [f"{f.name}:{getattr(model, f.name)!r}" for f in fields(model)]
+    return " ".join([model.name, *params, entry])
+
+
+def _shipped(model, entry: str, compute) -> np.ndarray:
+    """``compute()``, read from the shipped ``data/start_states.npz`` when
+    it lists the model's ``entry``."""
+    with (resources.files("mpfilter") / "data" / "start_states.npz").open("rb") as f, \
+            np.load(f, allow_pickle=False) as table:
+        key = _table_key(model, entry)
+        if key in table.files:
+            return table[key]
+    return compute()
+
+
+def observation_matrix(cfg, model) -> np.ndarray:
+    n_x = model.n_x
+    window = cfg.cycle_steps * cfg.dt
+    if cfg.obs_operator == "full":
+        return np.eye(n_x)
+    if cfg.obs_operator == "xonly":
+        return np.eye(n_x)[:1]
+    if cfg.obs_operator == "zonly":
+        return np.eye(n_x)[2:3]
+    if cfg.obs_operator == "every2":
+        return np.eye(n_x)[::2]
+    if cfg.obs_operator == "mortality":
+        h = np.zeros((1, n_x))
+        h[0, 1] = model.params.m_c * window  # mortality rate of the infected pool
+        return h
+    raise ConfigError(f"unknown obs_operator {cfg.obs_operator!r}")
+
+
+def _integrate_start(model, spinup_steps: int) -> np.ndarray:
+    """The seed-independent start of an ODE twin experiment, integrated from
+    the model's fixed ``x0``: the Lorenz-63 truth after the spin-up, or the
+    Lorenz-96 bank of 1000 states sampled every 20 steps after the spin-up
+    (the truth is its last row; the members are drawn from the others)."""
+    if model.name == "lorenz63":
+        return advance_window(model, np.array([1.0, 1.0, 1.001]), spinup_steps)
+    x0 = np.full(model.n_x, model.forcing)
+    x0[0] += 0.01
+    spun = advance_window(model, x0, spinup_steps)
+    return free_run(model, spun, 20_000, sample_every=20)
+
+
+@functools.lru_cache(maxsize=None)  # seed-independent; a copy per call below
+def _cached_start(model, spinup_steps: int) -> np.ndarray:
+    return _shipped(model, f"spinup:{spinup_steps}",
+                    lambda: _integrate_start(model, spinup_steps))
+
+
+def _start_states(model, spinup_steps: int) -> np.ndarray:
+    """``_integrate_start(model, spinup_steps)``, shipped or integrated."""
+    return _cached_start(model, spinup_steps).copy()
+
+
+def setup_start(cfg, model, q, init_rng) -> tuple[np.ndarray, Ensemble]:
+    """The truth and initial ensemble of a run, one branch per model, with
+    ``init_rng`` the run's ``init`` stream."""
+    if cfg.model == "lorenz63":
+        truth0 = _start_states(model, cfg.spinup_steps)
+        ens0 = Ensemble.equal_weight(truth0 + q.sample(init_rng, size=cfg.n_particles))
+    elif cfg.model == "lorenz96":
+        bank = _start_states(model, cfg.spinup_steps)
+        truth0 = bank[-1]
+        idx = init_rng.integers(0, bank.shape[0] - 1, size=cfg.n_particles)
+        ens0 = Ensemble.equal_weight(bank[idx])
+    else:
+        truth0 = model.params.initial_state()
+        start = truth0.copy()
+        start[0] *= 0.8  # filter underestimates the susceptibles by 20%
+        states = start + q.sample(init_rng, size=cfg.n_particles)
+        states[:, :5] = np.maximum(states[:, :5], 0.0)
+        ens0 = Ensemble.equal_weight(states)
+    return truth0, ens0

@@ -12,14 +12,13 @@ import pytest
 
 import mpfilter.cli as cli
 import mpfilter.config as config
-import mpfilter.experiment as experiment
+import mpfilter.models as models
 from mpfilter.cli import main
 from mpfilter.config import ConfigError, default_cholera_params_path, load_preset, loads
 from mpfilter.experiment import (
     CSV_HEADER,
     build_model,
     build_setup,
-    observation_matrix,
     resolve_mapping_config,
     resolve_q_diagonal,
     run_twin_experiment,
@@ -35,6 +34,7 @@ from mpfilter.models import (
     climatological_variance,
 )
 from mpfilter.rng import RandomStream
+from oracles import observation_matrix, setup_start
 
 ROOT = Path(__file__).resolve().parents[1]
 START_STATES = resources.files("mpfilter") / "data" / "start_states.npz"
@@ -58,25 +58,24 @@ class TestObservationOperators:
     def test_shapes(self):
         cfg = loads(SMALL)
         model = build_model(cfg)
-        assert observation_matrix(cfg, model).shape == (3, 3)
-        cfg.obs_operator = "xonly"
-        np.testing.assert_array_equal(observation_matrix(cfg, model),
+        window = cfg.cycle_steps * cfg.dt
+        assert model.observation_matrix("full", window).shape == (3, 3)
+        np.testing.assert_array_equal(model.observation_matrix("xonly", window),
                                       [[1.0, 0.0, 0.0]])
-        cfg.obs_operator = "zonly"
-        np.testing.assert_array_equal(observation_matrix(cfg, model),
+        np.testing.assert_array_equal(model.observation_matrix("zonly", window),
                                       [[0.0, 0.0, 1.0]])
 
     def test_every2_lorenz96(self):
         cfg = loads("model = lorenz96\nseed = 1\nobs_operator = every2\n")
-        h = observation_matrix(cfg, build_model(cfg))
+        h = build_model(cfg).observation_matrix("every2", cfg.cycle_steps * cfg.dt)
         assert h.shape == (20, 40)
         assert np.all(h[np.arange(20), np.arange(0, 40, 2)] == 1.0)
 
     def test_mortality_operator(self):
         cfg = loads("model = cholera\nseed = 1\n")
         model = build_model(cfg)
-        h = observation_matrix(cfg, model)
         window = cfg.cycle_steps * cfg.dt
+        h = model.observation_matrix("mortality", window)
         assert h.shape == (1, 6)
         assert h[0, 1] == pytest.approx(model.params.m_c * window)
 
@@ -114,17 +113,16 @@ def shipped_tables() -> dict:
 def recomputed_tables() -> dict:
     """Every member of data/start_states.npz, recomputed through the path a
     table miss takes."""
-    tables = {experiment._table_key(model, "spinup:20000"):
-              experiment._integrate_start(model, 20_000)
+    tables = {models._table_key(model, "spinup:20000"): model._integrate_start(20_000)
               for model in (Lorenz63(), Lorenz96())}
-    tables[experiment._table_key(Lorenz63(), "climatology")] = (
+    tables[models._table_key(Lorenz63(), "climatology")] = (
         climatological_variance(Lorenz63()))
     return tables
 
 
 class TestClimatologyTable:
     def test_shipped_entry_matches_recomputation(self, recomputed_tables):
-        key = experiment._table_key(Lorenz63(), "climatology")
+        key = models._table_key(Lorenz63(), "climatology")
         assert np.array_equal(shipped_tables()[key], recomputed_tables[key])
 
     @pytest.fixture
@@ -135,13 +133,13 @@ class TestClimatologyTable:
             calls.append(model)
             return np.ones(model.n_x)
 
-        monkeypatch.setattr(experiment, "climatological_variance", stub)
+        monkeypatch.setattr(models, "climatological_variance", stub)
         return calls
 
     def test_table_miss_integrates_once(self, counted_climatology):
         cfg = loads("model = lorenz63\nseed = 1\ndt = 0.002\n")
         model = build_model(cfg)
-        assert experiment._table_key(model, "climatology") not in shipped_tables()
+        assert models._table_key(model, "climatology") not in shipped_tables()
         q = resolve_q_diagonal(cfg, model)
         assert counted_climatology == [model]
         assert np.array_equal(q, 0.3 * np.ones(3) * cfg.cycle_steps * cfg.dt)
@@ -153,7 +151,7 @@ class TestClimatologyTable:
         model = build_model(cfg)
         assert model == Lorenz63()
         window = cfg.cycle_steps * cfg.dt
-        climatology = shipped_tables()[experiment._table_key(model, "climatology")]
+        climatology = shipped_tables()[models._table_key(model, "climatology")]
         assert np.array_equal(resolve_q_diagonal(cfg, model), 0.3 * climatology * window)
         assert counted_climatology == []
 
@@ -184,8 +182,8 @@ class TestStartStateTable:
             calls.append(("free_run", model, steps, sample_every))
             return np.tile(x0, (steps // sample_every, 1))
 
-        monkeypatch.setattr(experiment, "advance_window", advance_window)
-        monkeypatch.setattr(experiment, "free_run", free_run)
+        monkeypatch.setattr(models, "advance_window", advance_window)
+        monkeypatch.setattr(models, "free_run", free_run)
         return calls
 
     @pytest.mark.parametrize("preset", ["lorenz63-full-100p", "lorenz96-full-20p"])
@@ -194,7 +192,7 @@ class TestStartStateTable:
         setup = build_setup(cfg)
         assert integrations == []
         states = shipped_tables()[
-            experiment._table_key(setup.model, f"spinup:{cfg.spinup_steps}")]
+            models._table_key(setup.model, f"spinup:{cfg.spinup_steps}")]
         if cfg.model == "lorenz63":
             assert np.array_equal(setup.truth0, states)
         else:
@@ -225,6 +223,32 @@ class TestStartStateTable:
         assert np.array_equal(spinup[3], x0)
         assert bank == ("free_run", model, 20_000, 20)
         assert np.array_equal(setup.truth0, x0)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSetupAgainstOracle:
+    # build_setup's truth, members and H against the per-model branches the
+    # models' start, initial_ensemble and observation_matrix replaced
+    @pytest.mark.parametrize("spinup_steps", [20_000, 200], ids=["shipped", "miss"])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("model,obs_operator", [
+        ("lorenz63", "full"), ("lorenz63", "xonly"), ("lorenz63", "zonly"),
+        ("lorenz96", "full"), ("lorenz96", "every2"), ("cholera", "mortality"),
+    ])
+    def test_same_bits(self, model, obs_operator, seed, spinup_steps):
+        cfg = loads(f"model = {model}\nseed = {seed}\nn_particles = 7\n"
+                    f"obs_operator = {obs_operator}\nspinup_steps = {spinup_steps}\n")
+        setup = build_setup(cfg)
+        built = build_model(cfg)
+        q = Covariance.diagonal(resolve_q_diagonal(cfg, built))
+        init_rng = RandomStream(cfg.seed).substream("init")
+        truth0, ens0 = setup_start(cfg, built, q, init_rng)
+        assert same_bits(setup.truth0, truth0)
+        assert same_bits(setup.ensemble0.states, ens0.states)
+        assert same_bits(setup.ssm.obs_matrix, observation_matrix(cfg, built))
 
 
 class TestPackageData:

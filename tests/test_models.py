@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mpfilter.core import ContractViolation
-from mpfilter.experiment import _table_key
 from mpfilter.models import (
     CholeraModel,
     CholeraParams,
@@ -21,6 +20,7 @@ from mpfilter.models import (
     free_run,
     parse_cholera_params,
     rk4_step,
+    _table_key,
 )
 
 

@@ -56,18 +56,19 @@ class TestStateSpaceModel:
 
 
 class TestLogLikelihood:
+    # one value per row of the 2-D states
     def test_perfect_fit(self):
         ssm = make_ssm(n_x=2)
         x = np.array([1.0, 2.0])
-        assert log_likelihood(ssm, x, ssm.observe(x)) == 0.0
+        assert log_likelihood(ssm, x[None], ssm.observe(x)).tolist() == [0.0]
 
     def test_hand_value(self):
         ssm = make_ssm(n_x=1, r=0.5)
-        assert log_likelihood(ssm, np.array([0.0]), np.array([1.0])) == -1.0
+        assert log_likelihood(ssm, np.array([[0.0]]), np.array([1.0])).tolist() == [-1.0]
 
     def test_translation_invariance(self):
         ssm = make_ssm(n_x=2)
-        x, y = np.array([0.3, -0.7]), np.array([1.0, 0.5])
+        x, y = np.array([[0.3, -0.7]]), np.array([1.0, 0.5])
         shift = np.array([4.0, -2.0])
         assert log_likelihood(ssm, x, y) == pytest.approx(
             log_likelihood(ssm, x + shift, y + ssm.observe(shift)), rel=1e-12)
