@@ -2,13 +2,12 @@
 
 State vectors are plain 1-D ``numpy`` arrays; batches of states are 2-D
 arrays with one row per particle.  All reductions run in an order fixed
-by the code and the numpy/BLAS build (the pairwise form's matrix product
-sums in the BLAS's order), so identical seeds give bitwise-identical runs.
+by the code and the numpy/BLAS build (the pairwise passes' matrix products
+sum in the BLAS's order), so identical seeds give bitwise-identical runs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +27,8 @@ class Covariance:
     """Diagonal covariance, a vector of positive variances: Q, the kernel
     bandwidth ``A = alpha Q`` and R all are.  Solves, quadratic forms and
     samples are elementwise; :meth:`whiten` gives the whitened coordinates
-    from which :func:`neg_half_sq_distances` forms the pairwise Mahalanobis
-    terms of the Gram matrix and the mixture log-psi."""
+    from which the Gram matrix and the mixture form their pairwise
+    Mahalanobis terms, each as one matrix product."""
 
     def __init__(self, variances: np.ndarray):
         variances = np.asarray(variances, dtype=float)
@@ -78,17 +77,19 @@ class Covariance:
         self._check_dim(v.shape[-1])
         return np.einsum("...i,...i->...", v, self.solve(v))
 
-    def whiten(self, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Whitened rows ``z = (x - m) Sigma^{-1/2}`` of the 2-D array ``x``
-        and their half squared norms ``h = |z|^2 / 2``.  Centering on ``m``
-        (the mean of the set the rows are compared against) keeps the
-        distance expansion from cancelling for states far from the origin.
-        A norm that overflows is ``inf``."""
+    def whiten(self, x: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the whitened rows ``z = (x - m) Sigma^{-1/2}`` of the 2-D
+        array ``x`` into ``out`` (the leading columns of the caller's
+        product operand) and return their half squared norms ``h = |z|^2 / 2``.
+        Centering on ``m`` (the mean of the set the rows are compared
+        against) keeps the distance expansion from cancelling for states far
+        from the origin.  A norm that overflows is ``inf``."""
         self._check_dim(x.shape[1])
-        z = (x - m) * self._inv_sqrt_diag
-        h = (z * z).sum(axis=1)
+        np.subtract(x, m, out=out)
+        out *= self._inv_sqrt_diag
+        h = (out * out).sum(axis=1)
         h *= 0.5
-        return z, h
+        return h
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw ``N(0, Sigma)`` samples; shape ``(dim,)`` or ``(size, dim)``."""
@@ -103,26 +104,6 @@ class Covariance:
             rng.standard_normal(out=row)
         draws *= self._sqrt_diag
         return draws
-
-
-def neg_half_sq_distances(za: np.ndarray, ha: np.ndarray,
-                          zb: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """Minus half the squared distances ``min(z_a . z_b - (h_a + h_b), 0)``
-    (N_a, N_b) between whitened rows (:meth:`Covariance.whiten`, one
-    centering ``m`` for both sets), as one matrix product computed in place,
-    under the ``np.errstate`` of the public entry that calls it.  It
-    reorders the sums of the difference tensor form, so the two agree to
-    rounding, not bit for bit.  A term that overflows is ``-inf`` (not
-    NaN).  ``za`` and ``zb`` must be separate arrays even for one set: the
-    product of an array with its own transpose takes BLAS's symmetric
-    (syrk) path, which rounds differently from the general product."""
-    d = za @ zb.T
-    d -= ha[:, None] + hb
-    # a NaN needs inf - inf; |z_a . z_b| <= h_a + h_b (Cauchy-Schwarz), so
-    # while this bound (with room for rounding) is finite, nothing overflows
-    if not math.isfinite(4.0 * (ha.max() + hb.max())):
-        np.copyto(d, -np.inf, where=np.isnan(d))
-    return np.minimum(d, 0.0, out=d)
 
 
 @dataclass

@@ -67,7 +67,10 @@ class OdeModel:
 
     Subclasses define ``drift``, ``dt``, ``_integrate_start`` and
     ``obs_operators``, the rows of the identity each observation operator
-    keeps; states batch over leading axes.
+    keeps; states batch over leading axes.  An RK4 step adds an increment
+    to the state, so a non-finite component of a Lorenz state stays
+    non-finite through every later step: one finiteness check at the end
+    of a window sees any blow-up inside it.
     """
 
     q_kinds = ("diag", "climatological")
@@ -178,17 +181,24 @@ class Lorenz96(OdeModel):
 def _integrate(model, x: np.ndarray, steps: int, every: int = 0):
     """``steps`` deterministic single steps from ``x``; returns the final
     state and copies of the states after every ``every``-th step (none
-    when ``every`` is 0)."""
-    x = np.asarray(x, dtype=float)
+    when ``every`` is 0).  The window is checked for a blow-up once, at its
+    end (see :class:`OdeModel`); a non-finite end state is replayed step by
+    step to name the step that blew up."""
+    x0 = x = np.asarray(x, dtype=float)
+    drift, dt = model.drift, model.dt
     samples = []
     # an overflow shows as a non-finite state, reported as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):
-            x = model.step(x)
-            if not np.isfinite(x).all():
-                raise IntegrationBlowupError(model.name, i)
+            x = rk4_step(drift, x, dt)
             if every and i % every == 0:
                 samples.append(x.copy())
+        if not np.isfinite(x).all():
+            x = x0
+            for i in range(1, steps + 1):
+                x = rk4_step(drift, x, dt)
+                if not np.isfinite(x).all():
+                    raise IntegrationBlowupError(model.name, i)
     return x, samples
 
 

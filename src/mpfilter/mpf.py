@@ -10,15 +10,16 @@ deterministically advanced previous particles), then iterate
 with a synchronous (Jacobi-style) batch update, until a convergence
 criterion or the iteration cap fires.  For the Gaussian kernel both sums
 are matrix products with the Gram matrix G (the matrix form of SVGD):
-attraction ``G^T g`` and repulsion ``A^{-1} (G^T X - colsum(G) * X)``.
+attraction ``G^T g`` and repulsion ``A^{-1} (G^T X - colsum(G) * X)``, all
+three read from the one product ``G^T [g | X | 1]``.
 The O(N_p^2) work -- the Gram matrix and one evaluation of the mixture
-(its responsibilities and log density from one softmax) -- is done once
-per set of particle positions and shared by the gradient at those
-positions, the N_eff rule after the update that produced them and the
-cycle's closing weight report.  Each takes its terms from the particles
-whitened once (``Covariance.whiten``) and one in-place product
-(``core.neg_half_sq_distances``); the mixture centers' whitening is done
-once per cycle, and the KL of the weights only for the closing report.
+(its responsibility-weighted centers and log density from one softmax) --
+is done once per set of particle positions and shared by the gradient at
+those positions, the N_eff rule after the update that produced them and
+the cycle's closing weight report.  Each is one matrix product of the
+particles whitened once (``Covariance.whiten``) against a stacked
+operand; the mixture's center operands are built once per cycle, and the
+KL of the weights only for the closing report.
 :func:`mapping_cycle` checks its inputs once; what it calls trusts them.
 """
 
@@ -172,12 +173,20 @@ def kl_gradient_field(
     if logp_grads.shape != states.shape:
         raise ContractViolation("logp_grads shape must match particle states")
     gram = kernel.interactions(states) if gram is None else gram
-    attract = gram.T @ logp_grads  # sum_l G[l, j] g_l
+    n_p, n_x = states.shape
+    rhs = np.empty((n_p, 2 * n_x + 1))
+    rhs[:, :n_x] = logp_grads
+    rhs[:, n_x:-1] = states
+    rhs[:, -1] = 1.0
+    # sum_l G[l, j] [g_l | x_l | 1]: the attraction, G^T X and colsum(G)
+    sums = gram.T @ rhs
     # sum_l grad_source(x_l, x_j) = -A^{-1} sum_l G[l, j] (x_l - x_j)
-    repulse = -kernel.bandwidth.solve(
-        gram.T @ states - gram.sum(axis=0)[:, None] * states
-    )
-    return -(attract + repulse) / states.shape[0]
+    field = np.multiply(sums[:, -1:], states)
+    np.subtract(sums[:, n_x:-1], field, out=field)
+    field = kernel.bandwidth.solve(field)
+    field -= sums[:, :n_x]
+    field /= n_p
+    return field
 
 
 def check_convergence(
@@ -210,7 +219,7 @@ class MappingResult:
 
 def _pairwise_pass(kernel: GaussianKernel, prior: PriorMixture, states: np.ndarray):
     """The O(N_p^2) quantities at one set of positions: the kernel Gram
-    matrix and the mixture evaluation (responsibilities, log density)."""
+    matrix and the mixture evaluation (weighted centers, log density)."""
     return kernel.interactions(states), prior.evaluate(states)
 
 

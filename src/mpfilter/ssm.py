@@ -4,23 +4,28 @@ previous ensemble, and the gradient of the log sequential posterior.
 The target density per assimilation cycle is the Gaussian-mixture prior
 (centered on the advanced previous particles, covariance Q) times the
 Gaussian observation likelihood.  The mapping needs only the gradient of
-the log posterior, and the importance report the mixture's log density;
-:meth:`PriorMixture.evaluate` gives both the responsibilities and that log
-density from one max-shifted softmax (at 40 dimensions the raw exponentials
-underflow), once per set of particle positions, computed in place under one
-``np.errstate`` on trusted 2-D float input.  The centers are frozen for the
-cycle, so the mixture whitens them once, when it is built; each evaluation
-whitens only the particles.  The log-posterior value itself is a test
-oracle, in ``tests/oracles.py``.
+the log posterior, whose prior term pulls each particle toward its
+responsibility-weighted center, and the importance report the mixture's
+log density.  :meth:`PriorMixture.evaluate` gives both from one
+max-shifted softmax (at 40 dimensions the raw exponentials underflow) and
+two matrix products, once per set of particle positions: the scores
+``[z_x, 1] @ [Z_c, log w - h_c]^T`` of the whitened particles against the
+whitened centers, and the exponentiated scores times ``[C, 1]``, the
+unnormalized weighted center sum and its normalizer together.  The
+responsibilities themselves are never formed.  The centers are frozen for
+the cycle, so the mixture builds both center matrices once, when it is
+built.  The log-posterior value itself is a test oracle, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from mpfilter.core import ContractViolation, Covariance, neg_half_sq_distances
+from mpfilter.core import ContractViolation, Covariance
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -89,36 +94,54 @@ class PriorMixture:
             if w.shape != (n_p,) or np.any(w < 0.0):
                 raise ContractViolation("mixture weights must be a probability vector")
             self.weights = w / w.sum()
-        # log(0) is -inf; the centers are frozen for the cycle: whiten once
+        # the centers are frozen for the cycle: their scores [Z_c, log w - h_c]
+        # (log 0 is -inf) and their sum operand [C, 1] are built once
+        n_c, n_x = self.centers.shape
+        self._mean = self.centers.mean(axis=0)
+        self._scores = np.empty((n_c, n_x + 1))
+        self._sums = np.empty((n_c, n_x + 1))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            self.log_weights = np.log(self.weights)
-            self._mean = self.centers.mean(axis=0)
-            self._z, self._half_norms = self.q.whiten(self.centers, self._mean)
-
-    def _log_psi(self, x: np.ndarray) -> np.ndarray:
-        """Per-component log weights ``log w_m - 1/2 ||x - c_m||^2_Q``, a
-        fresh array per call, under :meth:`evaluate`'s ``np.errstate``."""
-        z, h = self.q.whiten(x, self._mean)
-        d = neg_half_sq_distances(z, h, self._z, self._half_norms)
-        return np.add(d, self.log_weights, out=d)
+            h = self.q.whiten(self.centers, self._mean, self._scores[:, :n_x])
+            np.subtract(np.log(self.weights), h, out=self._scores[:, n_x])
+        self._h_max = h.max()
+        self._sums[:, :n_x] = self.centers
+        self._sums[:, n_x] = 1.0
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The mixture at each row of ``x`` from one softmax of its log-psi:
-        the responsibilities ``p / s`` (N_x, N_c) and the unnormalized log
-        density ``log(s) + top`` (N_x,), with ``p = exp(log_psi - top)``,
-        ``s`` its row sums and ``top`` the row maximum (0 for a row whose
-        components are all ``-inf``; its log density is ``-inf`` and its
-        responsibilities NaN, which :func:`log_posterior_grad` rejects)."""
+        """The mixture at each row of ``x`` (a 2-D float array): the
+        responsibility-weighted centers ``(p @ C) / s`` (N_x, n_x) and the
+        unnormalized log density ``log(s) + top - h_x`` (N_x,).
+
+        ``e = [z_x, 1] @ [Z_c, log w - h_c]^T`` is the log-psi
+        ``log w_m - 1/2 |z_x - z_c|^2`` plus the particle's own half norm
+        ``h_x``, which cancels in the softmax; ``p = exp(e - top)`` with
+        ``top`` the row maximum, and ``s`` its row sums come from the same
+        product as ``p @ C``.  A component that overflows is ``-inf``; a row
+        whose components are all ``-inf`` (``top`` taken as 0, ``s = 0``)
+        has log density ``-inf`` and NaN centers, which
+        :func:`log_posterior_grad` rejects."""
+        n_p, n_x = x.shape
+        a = np.empty((n_p, n_x + 1))
         # overflow far from the centers is -inf; s = 0 where a row is all -inf
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            log_psi = self._log_psi(x)
-            top = log_psi.max(axis=1, keepdims=True)
-            top = np.where(np.isfinite(top), top, 0.0)
-            log_psi -= top
-            p = np.exp(log_psi, out=log_psi)
-            s = p.sum(axis=1, keepdims=True)
-            p /= s
-            return p, np.log(s[:, 0]) + top[:, 0]
+            h = self.q.whiten(x, self._mean, a[:, :n_x])
+            a[:, n_x] = 1.0
+            e = a @ self._scores.T
+            # |z_x . z_c| <= h_x + h_c (Cauchy-Schwarz), so while this bound
+            # (with room for rounding) is finite no score overflows, and a
+            # positive weight keeps every row's maximum finite
+            far = not math.isfinite(4.0 * (h.max() + self._h_max))
+            if far:
+                np.nan_to_num(e, copy=False, nan=-np.inf, posinf=-np.inf, neginf=-np.inf)
+            top = e.max(axis=1, keepdims=True)
+            if far:
+                top[top == -np.inf] = 0.0
+            e -= top
+            p = np.exp(e, out=e)
+            sums = p @ self._sums  # [p @ C, s]
+            centers_bar, s = sums[:, :n_x], sums[:, n_x]
+            centers_bar /= s[:, None]
+            return centers_bar, np.log(s) + top[:, 0] - h
 
 
 def log_likelihood(ssm: StateSpaceModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -134,17 +157,17 @@ def log_posterior_grad(
     """Gradient of the log sequential posterior (batched over particles).
 
     ``H^T R^{-1} (y - H x) - Q^{-1} (x - sum_m resp_m c_m)`` where the
-    responsibilities are the softmax of the mixture components at ``x``
-    (read from ``mixture = prior.evaluate(x)`` when it is given).
+    responsibilities are the softmax of the mixture components at ``x``;
+    the weighted center sum is read from ``mixture = prior.evaluate(x)``
+    when it is given.
     """
     xs = x if x.ndim > 1 else x[None]
-    resp, log_density = prior.evaluate(xs) if mixture is None else mixture
+    centers_bar, log_density = prior.evaluate(xs) if mixture is None else mixture
     if (log_density == -np.inf).any():
         bad = int(np.argmin(log_density))
         raise NumericalDegeneracyError(
             f"mixture responsibilities underflowed at particle {bad}"
         )
-    centers_bar = resp @ prior.centers
     innov = y - xs @ ssm.obs_matrix.T
     grad = ssm.r.solve(innov) @ ssm.obs_matrix - ssm.q.solve(xs - centers_bar)
     return grad if x.ndim > 1 else grad[0]

@@ -11,11 +11,14 @@ finite differences:
   as functions of the bandwidth covariance ``A``;
 * the log sequential posterior up to an additive constant;
 * the mixture log-sum-exp and softmax as two separate evaluations of
-  ``log_psi``, which ``PriorMixture.evaluate`` must match bit for bit;
-* the pairwise Mahalanobis distances as a difference tensor, and as the
-  allocating one-product form whose bits the in-place Gram matrix and
-  mixture evaluation must keep, with the Gram matrix, log-psi and mixture
-  evaluation written on either;
+  ``log_psi``;
+* the pairwise Mahalanobis distances as a difference tensor, as the
+  allocating one-product form, and as the folded in-place product that
+  both the Gram matrix and the mixture once called, with the Gram matrix,
+  log-psi and mixture evaluation (weighted centers and log density)
+  written on any of them; the program's own products reorder these sums,
+  so the tests hold it to them within a tolerance that scales with the
+  whitened squared norms (``gemm_tolerance``, ``mixture_tolerance``);
 * the Adadelta and Adam steps in their allocating form, whose bits the
   in-place optimizers must keep;
 * the twin experiment's setup as the harness first wrote it, one branch per
@@ -25,6 +28,7 @@ finite differences:
 """
 
 import functools
+import math
 from dataclasses import fields
 from importlib import resources
 
@@ -109,6 +113,42 @@ def allocating_form(cov, a, b):
     return np.maximum(d, 0.0, out=d)
 
 
+def folded_form(cov, a, b):
+    """Pairwise distances as the one in-place product the Gram matrix and
+    the mixture shared before each folded its terms into its own product:
+    both sets whitened on the mean of ``b``, then ``-2 min(z_a . z_b -
+    (h_a + h_b), 0)`` with ``h = |z|^2 / 2``, NaN to ``inf`` (scanned only
+    when a whitened norm can overflow).  Bit for bit the allocating form,
+    except at the ends of the float range."""
+    m = b.mean(axis=0)
+    za, zb = np.empty_like(a), np.empty_like(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ha, hb = cov.whiten(a, m, za), cov.whiten(b, m, zb)
+        d = za @ zb.T
+        d -= ha[:, None] + hb
+        if not math.isfinite(4.0 * (ha.max() + hb.max())):
+            np.copyto(d, -np.inf, where=np.isnan(d))
+        np.minimum(d, 0.0, out=d)
+        return -2.0 * d
+
+
+def gemm_tolerance(cov, *xs):
+    """Absolute error allowed a one-product pairwise form against the
+    difference tensor: its terms are whitened squared norms, so rounding
+    scales with the largest of them.  Rows beyond 1e100, whose terms
+    overflow to exact values, do not count."""
+    return 1e-13 * max([1.0, *(cov.quadratic_form(x[np.abs(x).max(axis=1) < 1e100]).max(initial=0.0)
+                              for x in xs)])
+
+
+def mixture_tolerance(prior, x):
+    """Absolute errors allowed the mixture's log density and weighted
+    centers at the rows of ``x``: :func:`gemm_tolerance` of the rows and
+    the centers, and that times the largest center coordinate."""
+    tol = gemm_tolerance(prior.q, x, prior.centers)
+    return tol, tol * max(1.0, np.abs(prior.centers).max())
+
+
 def gram_matrix(bandwidth, states, pairwise=allocating_form):
     """Kernel Gram matrix with exactly 1 on the diagonal."""
     d = pairwise(bandwidth, states, states)
@@ -118,18 +158,22 @@ def gram_matrix(bandwidth, states, pairwise=allocating_form):
 
 def mixture_log_psi(prior, x, pairwise=allocating_form):
     """``log w_m - 1/2 ||x - c_m||^2_Q`` for every row of ``x``."""
-    return prior.log_weights - 0.5 * pairwise(prior.q, x, prior.centers)
+    with np.errstate(divide="ignore"):  # a zero weight is -inf
+        log_weights = np.log(prior.weights)
+    return log_weights - 0.5 * pairwise(prior.q, x, prior.centers)
 
 
 def mixture_evaluate(prior, x, pairwise=allocating_form):
-    """Responsibilities and log density from one allocating softmax."""
+    """What ``PriorMixture.evaluate`` returns, from one allocating softmax:
+    the responsibility-weighted centers and the log density (NaN centers
+    and ``-inf`` where every component is ``-inf``)."""
     log_psi = mixture_log_psi(prior, x, pairwise)
     top = np.max(log_psi, axis=1, keepdims=True)
     top = np.where(np.isfinite(top), top, 0.0)
     p = np.exp(log_psi - top)
     s = p.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: all -inf
-        return p / s, np.log(s[:, 0]) + top[:, 0]
+        return (p / s) @ prior.centers, np.log(s[:, 0]) + top[:, 0]
 
 
 def allocating_adadelta(rho, learning_rate, grads_seq):

@@ -23,9 +23,10 @@ class IdentityDynamics(OdeModel):
 
     name = "identity"
     n_x = 1
+    dt = 1.0
 
-    def step(self, x):
-        return np.asarray(x, dtype=float)
+    def drift(self, x):
+        return np.zeros_like(x)  # an RK4 step adds exactly 0
 
 
 def identity_ssm(q=1.0, r=1.0):

@@ -7,18 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mpfilter.core as core
-from mpfilter.core import (
-    ContractViolation,
-    Covariance,
-    CovarianceError,
-    Ensemble,
-    neg_half_sq_distances,
-)
+import mpfilter.kernels as kernels
+import mpfilter.ssm as ssm
+from mpfilter.core import ContractViolation, Covariance, CovarianceError, Ensemble
 from mpfilter.kernels import GaussianKernel
 from mpfilter.ssm import PriorMixture
-from oracles import (allocating_form, difference_tensor_form, gram_matrix,
-                     mixture_evaluate)
+from oracles import (allocating_form, difference_tensor_form, folded_form,
+                     gemm_tolerance, gram_matrix, mixture_evaluate, mixture_tolerance)
 
 
 class TestCovarianceConstruction:
@@ -75,22 +70,11 @@ class TestQuadraticForm:
             np.testing.assert_allclose(new, old, rtol=1e-15, atol=0.0)
 
 
-def pairwise_form(cov, a, b):
-    """The program's pairwise distances: both sets whitened on the mean of
-    ``b``, then the one in-place product of minus half the distances, under
-    the ``np.errstate`` its public callers run it in, times -2 (exact)."""
-    m = b.mean(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return -2.0 * neg_half_sq_distances(*cov.whiten(a, m), *cov.whiten(b, m))
-
-
-def gemm_tolerance(cov, *xs):
-    """Absolute error allowed the one-product form: its terms are whitened
-    squared norms, so rounding scales with the largest of them."""
-    return 1e-13 * max(1.0, *(cov.quadratic_form(x).max() for x in xs))
-
-
 class TestPairwiseQuadraticForm:
+    """The folded one-product distances (``oracles.folded_form``), against
+    which the program's Gram matrix and mixture are checked, against the
+    difference tensor and the allocating form."""
+
     @pytest.mark.parametrize("n_a,n_b,n_x", [(1, 1, 1), (5, 7, 3), (100, 100, 40)])
     def test_matches_difference_tensor(self, n_a, n_b, n_x):
         # the one matrix product reorders the sums of the difference tensor
@@ -99,27 +83,27 @@ class TestPairwiseQuadraticForm:
         cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
         a = 3.0 * rng.standard_normal((n_a, n_x))
         b = 3.0 * rng.standard_normal((n_b, n_x))
-        np.testing.assert_allclose(pairwise_form(cov, a, b),
+        np.testing.assert_allclose(folded_form(cov, a, b),
                                    difference_tensor_form(cov, a, b),
                                    rtol=0.0, atol=gemm_tolerance(cov, a, b))
 
     @pytest.mark.parametrize("n_a,n_b,n_x", [(5, 7, 3), (20, 20, 40), (100, 100, 3)])
     def test_in_place_matches_allocating_form(self, n_a, n_b, n_x):
-        # the same operations in the same order as the allocating form it
-        # replaced, so the same bits, overflowing rows included
+        # the fold halves the allocating form's terms (exact) and sums them
+        # in the same order, so the same bits, overflowing rows included
         rng = np.random.default_rng(n_a + n_b + n_x)
         cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
         a = 3.0 * rng.standard_normal((n_a, n_x))
         a[:2] *= 1e200
         b = 3.0 * rng.standard_normal((n_b, n_x))
-        np.testing.assert_array_equal(pairwise_form(cov, a, b),
+        np.testing.assert_array_equal(folded_form(cov, a, b),
                                       allocating_form(cov, a, b))
 
     def test_hand_values(self):
         cov = Covariance.diagonal([2.0, 0.5])
         a = np.array([[0.0, 0.0], [2.0, 1.0]])
         b = np.array([[2.0, 0.0]])
-        np.testing.assert_allclose(pairwise_form(cov, a, b), [[2.0], [2.0]],
+        np.testing.assert_allclose(folded_form(cov, a, b), [[2.0], [2.0]],
                                    rtol=0.0, atol=gemm_tolerance(cov, a, b))
 
     @pytest.mark.parametrize("n_a,n_b,n_x", [(5, 7, 3), (100, 100, 40)])
@@ -130,7 +114,7 @@ class TestPairwiseQuadraticForm:
         cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
         a = 3.0 * rng.standard_normal((n_a, n_x)) + 1e6
         b = 3.0 * rng.standard_normal((n_b, n_x)) + 1e6
-        np.testing.assert_allclose(pairwise_form(cov, a, b),
+        np.testing.assert_allclose(folded_form(cov, a, b),
                                    difference_tensor_form(cov, a, b), rtol=0.0,
                                    atol=gemm_tolerance(cov, a - 1e6, b - 1e6))
 
@@ -141,7 +125,7 @@ class TestPairwiseQuadraticForm:
         cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=6))
         x = 5.0 * rng.standard_normal((30, 6))
         x = np.concatenate([x, x, x + 1e-9])
-        assert np.all(pairwise_form(cov, x, x) >= 0.0)
+        assert np.all(folded_form(cov, x, x) >= 0.0)
 
     def test_overflow_is_inf(self):
         # rows near 1e200 have squared distances beyond the float range:
@@ -150,14 +134,16 @@ class TestPairwiseQuadraticForm:
         rng = np.random.default_rng(4)
         cov = Covariance.diagonal(rng.uniform(0.2, 2.0, size=3))
         x = 1e200 * rng.standard_normal((5, 3))
-        d = pairwise_form(cov, x, x)
+        d = folded_form(cov, x, x)
         assert not np.any(np.isnan(d))
         off_diagonal = ~np.eye(5, dtype=bool)
         assert np.all(d[off_diagonal] == np.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            GaussianKernel(cov).interactions(x)
-            PriorMixture(x, cov).evaluate(x)
+            gram = GaussianKernel(cov).interactions(x)
+            _, log_density = PriorMixture(x, cov).evaluate(x)
+        np.testing.assert_array_equal(gram, np.eye(5))
+        assert np.all(log_density == -np.inf)
 
 
 class TestSolve:
@@ -222,7 +208,8 @@ class TestEnsemble:
 
 
 class _NanScanSpy:
-    """``numpy`` as ``mpfilter.core`` sees it, counting the NaN scans."""
+    """``numpy`` as a module of the program sees it, counting the scans
+    for overflowed terms."""
 
     def __init__(self):
         self.scans = 0
@@ -230,23 +217,27 @@ class _NanScanSpy:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def isnan(self, *args, **kwargs):
+    def nan_to_num(self, *args, **kwargs):
         self.scans += 1
-        return np.isnan(*args, **kwargs)
+        return np.nan_to_num(*args, **kwargs)
 
 
 class TestFoldAgainstOracles:
-    """The folded half distances keep the bits of the parent's allocating
-    form (``tests/oracles.py``) on both sides of the NaN-scan guard."""
+    """The Gram matrix and the mixture fold their pairwise terms into one
+    product each, which reorders the sums of the oracles
+    (``tests/oracles.py``): they agree within a tolerance that scales with
+    the whitened squared norms, on both sides of the overflow guard, which
+    scans only when a whitened norm can overflow."""
 
     @pytest.mark.parametrize("n_p,n_x", [(5, 3), (20, 40), (100, 3)])
     @pytest.mark.parametrize("scale,scans", [(1.0, 0), (1e200, 2)])
     def test_gram_and_mixture_match_oracles(self, monkeypatch, n_p, n_x, scale, scans):
         # ordinary rows: every half norm is finite, so neither the Gram
-        # matrix nor the mixture scans for NaN; rows near 1e200 overflow
-        # their norms, so both scan, and the overflow is -inf, not NaN
+        # matrix nor the mixture scans; rows near 1e200 overflow their
+        # norms, so both scan, and the overflow is -inf, not NaN
         spy = _NanScanSpy()
-        monkeypatch.setattr(core, "np", spy)
+        monkeypatch.setattr(kernels, "np", spy)
+        monkeypatch.setattr(ssm, "np", spy)
         rng = np.random.default_rng(n_p * n_x)
         q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
         kernel = GaussianKernel.from_model_error(q, float(rng.uniform(0.5, 20.0)))
@@ -257,36 +248,43 @@ class TestFoldAgainstOracles:
         states = 3.0 * rng.standard_normal((n_p, n_x))
         states[[1, 3]] *= scale
         gram = kernel.interactions(states)
-        resp, log_density = prior.evaluate(states)
+        centers_bar, log_density = prior.evaluate(states)
         assert spy.scans == scans
-        np.testing.assert_array_equal(gram, gram_matrix(kernel.bandwidth, states))
-        old_resp, old_log_density = mixture_evaluate(prior, states)
-        np.testing.assert_array_equal(resp, old_resp)
-        np.testing.assert_array_equal(log_density, old_log_density)
+        ok = np.abs(states).max(axis=1) < 1e100  # the rows that do not overflow
+        np.testing.assert_allclose(
+            gram, gram_matrix(kernel.bandwidth, states), rtol=0.0,
+            atol=gemm_tolerance(kernel.bandwidth, states))
+        old_centers, old_log_density = mixture_evaluate(prior, states)
+        tol_log, tol_centers = mixture_tolerance(prior, states)
+        np.testing.assert_allclose(log_density, old_log_density, rtol=0.0, atol=tol_log)
+        np.testing.assert_allclose(centers_bar[ok], old_centers[ok], rtol=0.0,
+                                   atol=tol_centers)
         assert not np.any(np.isnan(gram)) and not np.any(np.isnan(log_density))
-        assert np.all(resp[:, weights == 0.0][np.isfinite(log_density)] == 0.0)
+        np.testing.assert_array_equal(np.diag(gram), 1.0)
         if scans:
             assert log_density[1] == log_density[3] == -np.inf
+            assert np.all(gram[[1, 3]][:, ok] == 0.0)
 
     def test_fold_differs_only_at_the_ends_of_the_float_range(self):
-        # the inputs where the fold differs from the parent's form.  First a
-        # state 1e154 whitened units from the mean, where |z_a|^2 + |z_b|^2
-        # = 2e308 overflows and h_a + h_b = 1e308 does not.  The particle
-        # sits on a center: the fold finds distance 0 there, the allocating
-        # form -inf.  The Gram matrix keeps the oracle's bits, as exp of
-        # -1e308 and of -inf are both 0.
+        # the ends of the float range.  First a state 1e154 whitened units
+        # from the mean, on a center: |z_x|^2 / 2 = 5e307 does not overflow,
+        # so the log density keeps the scale-relative tolerance (1e-13 of
+        # the squared norm 1e308) of the exact log 1/2, where the allocating
+        # oracle, whose |z_a|^2 + |z_b|^2 overflows, reads -inf.  The Gram
+        # matrix keeps the oracle's values, as exp of -1e308 and of -inf
+        # are both 0.
         q = Covariance.diagonal([1.0])
         c = 1e154
         prior = PriorMixture(np.array([[-c], [c]]), q)
         x = np.array([[c]])
         assert mixture_evaluate(prior, x)[1][0] == -np.inf
-        assert prior.evaluate(x)[1][0] == np.log(0.5)
+        assert abs(prior.evaluate(x)[1][0] - np.log(0.5)) <= 1e-13 * c * c
         states = np.array([[-c], [c], [0.0]])
         np.testing.assert_array_equal(GaussianKernel(q).interactions(states),
                                       gram_matrix(q, states))
         # Then subnormal squared norms, within about 1e-154 of the mean,
-        # where halving rounds: on a center 4e-162 from the mean the fold
-        # reads a log density one subnormal unit below the exact 0
+        # where halving rounds: on a center 4e-162 from the mean the log
+        # density reads one subnormal unit below the exact 0
         c = 4e-162
         prior = PriorMixture(np.array([[c], [-c]]), q, weights=np.array([1.0, 0.0]))
         x = np.array([[c]])

@@ -1,6 +1,6 @@
 """The pointwise kernel oracles (``tests/oracles.py``) against closed forms
 and finite differences, and the Gram matrix against pairwise evaluation and
-(to rounding) the solve-then-contract form it replaced."""
+(to rounding) the solve-then-contract and one-product forms it replaced."""
 
 import warnings
 
@@ -9,7 +9,15 @@ import pytest
 
 from mpfilter.core import ContractViolation, Covariance
 from mpfilter.kernels import GaussianKernel
-from oracles import cross_hessian, grad_source, gram_matrix, kernel_value
+from oracles import (
+    allocating_form,
+    cross_hessian,
+    folded_form,
+    gemm_tolerance,
+    grad_source,
+    gram_matrix,
+    kernel_value,
+)
 
 
 def kernel_1d(a=1.0, alpha=1.0):
@@ -190,27 +198,33 @@ class TestGram:
     @pytest.mark.parametrize("n_p,n_x", [(5, 3), (20, 40), (100, 3)])
     @pytest.mark.parametrize("scale", [3.0, 1e200])
     def test_in_place_matches_allocating_form(self, n_p, n_x, scale):
-        # the same operations in the same order as the allocating form it
-        # replaced, so the same bits, overflowing distances included
+        # one product [z, h, 1] @ [z, -1, -h]^T reorders the allocating
+        # form's sums: the two agree to rounding of the whitened squared
+        # norms, and overflowing distances give exactly 0 off the diagonal
         rng = np.random.default_rng(n_p + n_x)
         k = random_kernel(rng, n_x)
         states = scale * rng.standard_normal((n_p, n_x))
-        np.testing.assert_array_equal(k.interactions(states),
-                                      gram_matrix(k.bandwidth, states))
+        gram = k.interactions(states)
+        np.testing.assert_allclose(gram, gram_matrix(k.bandwidth, states),
+                                   rtol=0.0, atol=gemm_tolerance(k.bandwidth, states))
+        np.testing.assert_array_equal(np.diag(gram), 1.0)
+        if scale > 1e100:
+            np.testing.assert_array_equal(gram, np.eye(n_p))
 
     def test_general_product_of_two_copies(self):
-        # an array times its own transpose takes BLAS's symmetric (syrk)
-        # path, which can round differently; the Gram matrix is the general
-        # product of two separate copies of the whitened particles
+        # the Gram matrix is a general product of two separate operands
+        # (no BLAS symmetric path), so it is symmetric to rounding; it
+        # matches the folded and the allocating one-product forms to the
+        # rounding of the whitened squared norms
         rng = np.random.default_rng(14)
         k = random_kernel(rng, 3)
         states = 3.0 * rng.standard_normal((100, 3))
-        z, h = k.bandwidth.whiten(states, states.mean(axis=0))
-        n = 2.0 * h  # the squared norms, exactly
-        d = n[:, None] + n - 2.0 * (z @ z.copy().T)
-        np.fill_diagonal(d, 0.0)
-        np.testing.assert_array_equal(k.interactions(states),
-                                      np.exp(-0.5 * np.maximum(d, 0.0)))
+        gram = k.interactions(states)
+        tol = gemm_tolerance(k.bandwidth, states)
+        np.testing.assert_allclose(gram, gram.T, rtol=0.0, atol=tol)
+        for form in (folded_form, allocating_form):
+            np.testing.assert_allclose(gram, gram_matrix(k.bandwidth, states, form),
+                                       rtol=0.0, atol=tol)
 
     def test_dimension_mismatch(self):
         k = kernel_1d()

@@ -2,6 +2,7 @@
 stochastic-model contracts."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mpfilter.models import (
     CholeraParams,
     IntegrationBlowupError,
     Lorenz63,
+    OdeModel,
     Lorenz96,
     PiecewiseSeries,
     advance_window,
@@ -162,7 +164,32 @@ class TestLorenz96:
         assert blowup_step(model, batch, 50) == first_nonfinite_step(model, batch, 50)
 
 
+@dataclass(frozen=True)
+class Ramp(OdeModel):
+    """``x' = 1`` until ``x`` reaches ``wall``, where the drift is inf: from
+    0 with ``dt = 1`` the state is ``i`` after step ``i``, and step
+    ``ceil(wall)`` is the first whose RK4 stages reach the wall."""
+
+    wall: float = 5.5
+    dt: float = 1.0
+
+    name = "ramp"
+    n_x = 1
+
+    def drift(self, x):
+        return np.where(x >= self.wall, np.inf, 1.0)
+
+
 class TestIntegrators:
+    @pytest.mark.parametrize("wall,steps", [(5.5, 10), (5.5, 6), (1.5, 3), (9.5, 10)])
+    def test_blowup_mid_window_names_its_step(self, wall, steps):
+        # the window is checked once, at its end; the inf that enters at
+        # step ceil(wall) stays, and the replay names that step
+        model = Ramp(wall=wall)
+        assert blowup_step(model, np.zeros(1), steps) == math.ceil(wall)
+        assert first_nonfinite_step(model, np.zeros(1), steps) == math.ceil(wall)
+        assert advance_window(model, np.zeros(1), math.ceil(wall) - 1)[0] == math.ceil(wall) - 1
+
     def test_advance_window_composes(self):
         model = Lorenz63()
         x = np.array([1.0, 2.0, 3.0])

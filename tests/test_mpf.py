@@ -32,7 +32,7 @@ from oracles import (
     difference_tensor_form,
     grad_source,
     gram_matrix,
-    mixture_log_psi,
+    mixture_evaluate,
 )
 
 
@@ -428,18 +428,20 @@ class TestSharedPairwisePass:
         # each iteration's gradient needs the pass at its positions; the
         # final positions need one more only for the report, and under the
         # neff rule that one is the last iteration's
-        calls = {"interactions": 0, "_log_psi": 0, "evaluate": 0}
+        # (each pass whitens the particles twice, for the Gram matrix and
+        # for the mixture, whose centers are whitened once, when it is built)
+        calls = {"interactions": 0, "whiten": 0, "evaluate": 0}
 
         def counted(cls, name):
             original = getattr(cls, name)
 
-            def wrapper(self, x):
+            def wrapper(self, *args):
                 calls[name] += 1
-                return original(self, x)
+                return original(self, *args)
             monkeypatch.setattr(cls, name, wrapper)
 
         counted(GaussianKernel, "interactions")
-        counted(PriorMixture, "_log_psi")
+        counted(Covariance, "whiten")
         counted(PriorMixture, "evaluate")
         ssm, prior, forecast, y, kernel = lorenz_like_cycle(n_x)
         cfg = MappingConfig(criterion=criterion, learning_rate=0.2,
@@ -447,7 +449,7 @@ class TestSharedPairwisePass:
         result = mapping_cycle(ssm, prior, forecast, y, kernel, cfg)
         assert result.iterations >= 2
         expected = result.iterations + closing_passes
-        assert calls == {"interactions": expected, "_log_psi": expected,
+        assert calls == {"interactions": expected, "whiten": 2 * expected + 1,
                          "evaluate": expected}
 
 
@@ -463,9 +465,9 @@ class TestPairwiseFormStoppingIterations:
         gemm = run()
         # both consumers of pairwise distances: the Gram and the mixture
         monkeypatch.setattr(GaussianKernel, "interactions", lambda self, x: gram_matrix(
-            self.bandwidth, np.atleast_2d(x), difference_tensor_form))
-        monkeypatch.setattr(PriorMixture, "_log_psi", lambda self, x: mixture_log_psi(
-            self, np.atleast_2d(x), difference_tensor_form))
+            self.bandwidth, x, difference_tensor_form))
+        monkeypatch.setattr(PriorMixture, "evaluate", lambda self, x: mixture_evaluate(
+            self, x, difference_tensor_form))
         tensor = run()
         assert [r.map_iterations for r in gemm] == [r.map_iterations for r in tensor]
         np.testing.assert_allclose([r.rmse for r in gemm], [r.rmse for r in tensor],

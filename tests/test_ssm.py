@@ -1,6 +1,7 @@
 """Likelihood, mixture prior and log-posterior gradient tests, including the
 finite-difference oracle for the gradient and the one mixture evaluation
-against the separate log-sum-exp and softmax it replaced."""
+against the separate log-sum-exp and softmax and the pairwise forms it
+replaced, within a tolerance that scales with the whitened norms."""
 
 import warnings
 
@@ -17,10 +18,12 @@ from mpfilter.ssm import (
     log_posterior_grad,
 )
 from oracles import (
+    difference_tensor_form,
     log_posterior_unnormalized,
     logsumexp,
     mixture_evaluate,
     mixture_log_psi,
+    mixture_tolerance,
     softmax_responsibilities,
 )
 
@@ -74,13 +77,30 @@ class TestLogLikelihood:
             log_likelihood(ssm, x + shift, y + ssm.observe(shift)), rel=1e-12)
 
 
+def assert_mixture_close(prior, x, oracle):
+    """``prior.evaluate(x)`` against an oracle's (centers, log density):
+    the same ``-inf`` log densities, and agreement within
+    :func:`mixture_tolerance` elsewhere."""
+    centers_bar, log_density = prior.evaluate(x)
+    old_centers, old_log_density = oracle
+    tol_log, tol_centers = mixture_tolerance(prior, x)
+    np.testing.assert_array_equal(log_density == -np.inf, old_log_density == -np.inf)
+    ok = np.isfinite(old_log_density)
+    np.testing.assert_allclose(log_density[ok], old_log_density[ok], rtol=0.0, atol=tol_log)
+    np.testing.assert_allclose(centers_bar[ok], old_centers[ok], rtol=0.0, atol=tol_centers)
+    return centers_bar, log_density
+
+
 class TestPriorMixture:
     def test_responsibilities_probability_vector(self):
+        # the weighted centers are a convex combination of the centers
         rng = np.random.default_rng(3)
-        prior = PriorMixture(rng.standard_normal((6, 3)), Covariance.isotropic(1.0, 3))
-        resp, _ = prior.evaluate(rng.standard_normal((10, 3)))
-        assert np.all(resp >= 0.0)
-        np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
+        centers = rng.standard_normal((6, 3))
+        prior = PriorMixture(centers, Covariance.isotropic(1.0, 3))
+        x = rng.standard_normal((10, 3))
+        centers_bar, _ = assert_mixture_close(prior, x, mixture_evaluate(prior, x))
+        assert np.all(centers_bar >= centers.min(axis=0) - 1e-15)
+        assert np.all(centers_bar <= centers.max(axis=0) + 1e-15)
 
     def test_log_density_matches_direct_sum(self):
         rng = np.random.default_rng(4)
@@ -105,85 +125,91 @@ class TestPriorMixture:
         rng = np.random.default_rng(5)
         centers = rng.standard_normal((10, 40)) * 30.0
         prior = PriorMixture(centers, Covariance.isotropic(0.3, 40))
-        resp, _ = prior.evaluate(centers + 0.1)
-        assert np.all(np.isfinite(resp))
+        centers_bar, log_density = prior.evaluate(centers + 0.1)
+        assert np.all(np.isfinite(centers_bar)) and np.all(np.isfinite(log_density))
 
     @pytest.mark.parametrize("n_x_pts,n_c,n_x", [(1, 1, 1), (5, 7, 3), (100, 100, 40)])
     def test_log_psi_matches_difference_tensor(self, n_x_pts, n_c, n_x):
-        # log-psi built its own (N_x, N_c, n_x) difference tensor before it
-        # took the covariance's pairwise form, one matrix product that
+        # the mixture built its log-psi from an (N_x, N_c, n_x) difference
+        # tensor before it took one matrix product of the scores, which
         # reorders the sums: they agree to rounding of the whitened norms
         rng = np.random.default_rng(n_x_pts + n_c + n_x)
         q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
         prior = PriorMixture(3.0 * rng.standard_normal((n_c, n_x)), q,
                              weights=rng.uniform(0.1, 1.0, size=n_c))
         x = 3.0 * rng.standard_normal((n_x_pts, n_x))
-        diffs = x[:, None, :] - prior.centers[None, :, :]
-        old = prior.log_weights[None, :] - 0.5 * q.quadratic_form(diffs)
-        tol = 1e-13 * max(1.0, q.quadratic_form(x).max(),
-                          q.quadratic_form(prior.centers).max())
-        np.testing.assert_allclose(prior._log_psi(x), old, rtol=0.0, atol=tol)
+        assert_mixture_close(prior, x, mixture_evaluate(prior, x, difference_tensor_form))
 
     def test_log_psi_overflow_is_minus_inf(self):
-        # points near 1e200 are infinitely far from every center: log-psi
-        # is -inf, with no NaN, and the evaluation raises no RuntimeWarning
-        # (its log density is -inf exactly when every component is)
+        # points near 1e200 are infinitely far from every center: the
+        # evaluation raises no RuntimeWarning, the log density is -inf (as
+        # the oracle's every log-psi component is) and the gradient rejects
+        # the particle
         rng = np.random.default_rng(6)
-        prior = PriorMixture(rng.standard_normal((7, 3)), Covariance.isotropic(0.5, 3))
+        ssm = make_ssm(n_x=3, q=0.5)
+        prior = PriorMixture(rng.standard_normal((7, 3)), ssm.q)
         x = 1e200 * rng.standard_normal((5, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, log_density = prior.evaluate(x)
         assert np.all(log_density == -np.inf)
-        with np.errstate(over="ignore", invalid="ignore"):  # evaluate's
-            log_psi = prior._log_psi(x)
-        assert np.all(log_psi == -np.inf)
+        assert np.all(mixture_log_psi(prior, x) == -np.inf)
+        with pytest.raises(NumericalDegeneracyError, match="particle 0$"):
+            log_posterior_grad(ssm, prior, x, np.zeros(3))
 
     @pytest.mark.parametrize("n_x_pts,n_c", [(1, 1), (7, 5), (100, 100)])
-    def test_evaluate_matches_logsumexp_and_softmax(self, monkeypatch, n_x_pts, n_c):
-        # one shared exponential gives the bits of the two separate
-        # evaluations, with rows spanning beyond exp's underflow and
-        # zero-weight (-inf) components
+    def test_evaluate_matches_logsumexp_and_softmax(self, n_x_pts, n_c):
+        # one shared exponential against the two separate evaluations, with
+        # components spanning beyond exp's underflow (centers hundreds of
+        # whitened units apart) and zero-weight (-inf) components
         rng = np.random.default_rng(n_x_pts + n_c)
-        log_psi = -rng.exponential(300.0, size=(n_x_pts, n_c))
-        log_psi[rng.random(log_psi.shape) < 0.2] = -np.inf
-        log_psi[:, rng.integers(n_c)] = -rng.exponential(3.0, size=n_x_pts)
-        # evaluate writes into the fresh array _log_psi returns per call
-        monkeypatch.setattr(PriorMixture, "_log_psi", lambda self, x: log_psi.copy())
-        prior = PriorMixture(np.zeros((n_c, 1)), Covariance.diagonal([1.0]))
-        resp, log_density = prior.evaluate(np.zeros((n_x_pts, 1)))
-        np.testing.assert_array_equal(resp, softmax_responsibilities(log_psi))
-        np.testing.assert_array_equal(log_density, logsumexp(log_psi, axis=1))
+        q = Covariance.diagonal([0.05, 0.2])
+        weights = rng.uniform(0.1, 1.0, size=n_c)
+        weights[rng.random(n_c) < 0.2] = 0.0
+        weights[rng.integers(n_c)] = 1.0
+        prior = PriorMixture(10.0 * rng.standard_normal((n_c, 2)), q, weights=weights)
+        x = 10.0 * rng.standard_normal((n_x_pts, 2))
+        log_psi = mixture_log_psi(prior, x)
+        assert n_c == 1 or np.any(log_psi - log_psi.max(axis=1, keepdims=True) < -745.0)
+        oracle = softmax_responsibilities(log_psi) @ prior.centers, logsumexp(log_psi, axis=1)
+        assert_mixture_close(prior, x, oracle)
 
-    def test_all_minus_inf_rows(self, monkeypatch):
+    def test_all_minus_inf_rows(self):
         # a particle whose components are all -inf keeps log density -inf
-        # and the gradient names the particle the softmax named
+        # and the gradient names the particle the softmax named: particles
+        # near 1e200, and a mixture whose centers all are
         rng = np.random.default_rng(7)
-        log_psi = -rng.exponential(30.0, size=(8, 6))
-        log_psi[[3, 5]] = -np.inf
-        # evaluate writes into the fresh array _log_psi returns per call
-        monkeypatch.setattr(PriorMixture, "_log_psi", lambda self, x: log_psi.copy())
         ssm = make_ssm(n_x=1)
         prior = PriorMixture(rng.standard_normal((6, 1)), ssm.q)
         x, y = rng.standard_normal((8, 1)), np.array([0.3])
-        resp, log_density = prior.evaluate(x)
-        np.testing.assert_array_equal(log_density, logsumexp(log_psi, axis=1))
+        x[[3, 5]] = 1e200
+        log_psi = mixture_log_psi(prior, x)
+        assert np.all(log_psi[[3, 5]] == -np.inf)
+        ok = np.isfinite(log_psi).all(axis=1)
+        oracle = np.full((8, 1), np.nan), logsumexp(log_psi, axis=1)
+        oracle[0][ok] = softmax_responsibilities(log_psi[ok]) @ prior.centers
+        centers_bar, log_density = assert_mixture_close(prior, x, oracle)
         assert log_density[3] == log_density[5] == -np.inf
-        ok = np.isfinite(log_density)
-        np.testing.assert_array_equal(resp[ok], softmax_responsibilities(log_psi[ok]))
         with pytest.raises(NumericalDegeneracyError) as old:
             softmax_responsibilities(log_psi)
-        for mixture in (None, (resp, log_density)):
+        for mixture in (None, (centers_bar, log_density)):
             with pytest.raises(NumericalDegeneracyError) as new:
                 log_posterior_grad(ssm, prior, x, y, mixture=mixture)
             assert str(new.value) == str(old.value)
         assert str(old.value).endswith("particle 3")
+        far = PriorMixture(1e200 * rng.standard_normal((6, 1)), ssm.q)
+        centers_bar, log_density = far.evaluate(x)
+        assert np.all(log_density == -np.inf) and np.all(np.isnan(centers_bar))
+        with pytest.raises(NumericalDegeneracyError, match="particle 0$"):
+            log_posterior_grad(ssm, far, x, y)
 
     @pytest.mark.parametrize("n_pts,n_x", [(5, 3), (20, 40), (100, 3)])
     def test_in_place_matches_allocating_form(self, n_pts, n_x):
-        # centers whitened once and the softmax computed in place: the same
-        # operations in the same order as the allocating form, so the same
-        # bits, with rows near 1e200 (log-psi -inf) and zero-weight components
+        # the scores' product reorders the allocating form's sums: the two
+        # agree to rounding of the whitened norms, with rows near 1e200
+        # (log density -inf) and zero-weight components; a zero-weight
+        # component contributes nothing, so a mixture with one positive
+        # weight gives exactly that center
         rng = np.random.default_rng(n_pts + n_x)
         q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
         weights = rng.uniform(0.1, 1.0, size=n_pts)
@@ -192,15 +218,14 @@ class TestPriorMixture:
         prior = PriorMixture(centers, q, weights=weights)
         x = 3.0 * rng.standard_normal((n_pts, n_x))
         x[[1, 3]] *= 1e200
-        with np.errstate(over="ignore", invalid="ignore"):  # evaluate's
-            log_psi = prior._log_psi(x)
-        np.testing.assert_array_equal(log_psi, mixture_log_psi(prior, x))
-        resp, log_density = prior.evaluate(x)
-        old_resp, old_log_density = mixture_evaluate(prior, x)
-        np.testing.assert_array_equal(resp, old_resp)
-        np.testing.assert_array_equal(log_density, old_log_density)
+        _, log_density = assert_mixture_close(prior, x, mixture_evaluate(prior, x))
         assert log_density[1] == log_density[3] == -np.inf
-        assert np.all(resp[:, weights == 0.0][np.isfinite(log_density)] == 0.0)
+        one = rng.integers(n_pts)
+        single = PriorMixture(centers, q, weights=(np.arange(n_pts) == one).astype(float))
+        centers_bar, log_density = single.evaluate(x)
+        ok = np.isfinite(log_density)
+        assert ok.sum() == n_pts - 2
+        np.testing.assert_array_equal(centers_bar[ok], np.broadcast_to(centers[one], (ok.sum(), n_x)))
 
     def test_bad_weights(self):
         with pytest.raises(ContractViolation):

@@ -1,0 +1,158 @@
+"""Check that a change that reorders floating-point sums keeps the MPF results,
+over an ensemble of seeds.
+
+    python tools/equiv.py --parent TREE --change TREE --seeds 1-K
+
+Each tree is a checkout with the package under ``src/``.  For every seed
+each tree runs every MPF preset (the ``filter = mpf`` presets that
+``mpfilter list-presets`` names) at its own cycle count with the seed
+replaced, all in one fresh interpreter per (tree, seed) with that tree's
+``src`` on ``PYTHONPATH``, two interpreters at a time.  A run yields its
+time-mean RMSE, mean ``map_iterations``, min N_eff (NaN where the filter
+reports none) and median ``wallclock_ms``.
+
+Per preset the tool prints, over the seeds, the median of the paired
+differences (change minus parent) of the RMSE, the iterations and the min
+N_eff, with the number of seeds on which the change is higher and lower;
+the parent's seed-to-seed interquartile range (IQR) of the RMSE; and the
+median ``wallclock_ms`` of both trees, so a slowdown on a preset outside
+the benchmark shows.  A preset fails when its median paired RMSE
+difference exceeds ``BOUND`` times that IQR, either way, or when a run
+fails in one tree and not the other.  The exit status is 1 if any preset
+fails, else 0.  One seed gives an IQR of 0, so any difference fails: the
+check needs several seeds, and was calibrated at 10.
+
+A change that reorders sums moves the time-mean RMSE of a chaotic,
+partially observed preset by up to about 10% on one seed, so neither a
+byte-level comparison (``tools/same_csvs.py``) nor one seed can tell it
+from a regression; paired over many seeds, its differences center on 0.  CHANGES.md records the calibration of ``BOUND``.
+This is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+
+BOUND = 0.5
+
+RUNNER = """\
+import json, math, statistics, sys
+from mpfilter.config import load_preset, preset_names
+from mpfilter.experiment import run_twin_experiment
+seed, out = int(sys.argv[1]), {}
+for name in preset_names():
+    cfg = load_preset(name)
+    if cfg.filter != "mpf":
+        continue
+    cfg.seed = seed
+    try:
+        records = run_twin_experiment(cfg).records
+    except Exception as exc:
+        out[name] = {"error": f"{type(exc).__name__}: {exc}"}
+        continue
+    neffs = [r.neff for r in records if not math.isnan(r.neff)]
+    out[name] = {
+        "rmse": statistics.fmean(r.rmse for r in records),
+        "iterations": statistics.fmean(r.map_iterations for r in records),
+        "min_neff": min(neffs) if neffs else math.nan,
+        "wallclock_ms": statistics.median(r.wallclock_ms for r in records),
+    }
+print(json.dumps(out))
+"""
+
+METRICS = ("rmse", "iterations", "min_neff")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"1-10"`` or ``"3"`` or ``"1,4,7"``."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_seed(tree: Path, seed: int) -> dict:
+    """All MPF presets of ``tree`` at ``seed`` in one fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER, str(seed)],
+        env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        lines = proc.stderr.strip().splitlines()
+        raise RuntimeError(f"{tree} seed {seed}: {lines[-1] if lines else proc.returncode}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _median(values: list[float]) -> float:
+    finite = [v for v in values if not np.isnan(v)]
+    return statistics.median(finite) if finite else float("nan")
+
+
+def _signs(diffs: list[float]) -> str:
+    return f"{sum(d > 0 for d in diffs)}+/{sum(d < 0 for d in diffs)}-"
+
+
+def summarize(parent: list[dict], change: list[dict]) -> dict:
+    """Paired statistics of one preset over the seeds both trees ran."""
+    errors = [(p.get("error"), c.get("error")) for p, c in zip(parent, change)]
+    pairs = [(p, c) for p, c in zip(parent, change) if "error" not in p and "error" not in c]
+    out = {"errors": sum(e != (None, None) for e in errors),
+           "mismatched_errors": sum((p is None) != (c is None) for p, c in errors)}
+    for metric in METRICS:
+        diffs = [c[metric] - p[metric] for p, c in pairs]
+        out[f"d_{metric}"] = _median(diffs)
+        out[f"d_{metric}_signs"] = _signs(diffs)
+    q1, q3 = np.percentile([p["rmse"] for p, _ in pairs], [25, 75]) if pairs else (0.0, 0.0)
+    out["parent_iqr"] = float(q3 - q1)
+    out["ratio"] = abs(out["d_rmse"]) / out["parent_iqr"] if out["parent_iqr"] > 0 else (
+        0.0 if out["d_rmse"] == 0 else float("inf"))
+    for side, runs in (("parent", parent), ("change", change)):
+        out[f"{side}_wallclock_ms"] = _median([r["wallclock_ms"] for r in runs if "error" not in r])
+    out["ok"] = bool(pairs) and out["ratio"] <= BOUND and out["mismatched_errors"] == 0
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent source tree")
+    parser.add_argument("--change", type=Path, required=True, help="changed source tree")
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"),
+                        help="seeds, e.g. 1-10 (default) or 1,4,7")
+    args = parser.parse_args(argv)
+    trees = (args.parent.resolve(), args.change.resolve())
+    jobs = [(tree, seed) for seed in args.seeds for tree in trees]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda job: run_seed(*job), jobs))
+    parent, change = results[0::2], results[1::2]
+    names = sorted(set().union(*parent, *change))
+
+    print(f"{len(args.seeds)} seeds, bound {BOUND} x parent IQR")
+    print(f"{'preset':30} {'dRMSE':>10} {'signs':>7} {'IQR':>8} {'ratio':>6} "
+          f"{'dIter':>7} {'dMinNeff':>9} {'ms parent':>9} {'ms change':>9}")
+    failed = 0
+    for name in names:
+        s = summarize([r.get(name, {"error": "missing"}) for r in parent],
+                      [r.get(name, {"error": "missing"}) for r in change])
+        failed += not s["ok"]
+        print(f"{name:30} {s['d_rmse']:>+10.4f} {s['d_rmse_signs']:>7} "
+              f"{s['parent_iqr']:>8.4f} {s['ratio']:>6.2f} {s['d_iterations']:>+7.2f} "
+              f"{s['d_min_neff']:>+9.3f} {s['parent_wallclock_ms']:>9.2f} "
+              f"{s['change_wallclock_ms']:>9.2f}  {'ok' if s['ok'] else 'FAILS'}"
+              + (f" ({s['errors']} failed runs)" if s["errors"] else ""))
+    print(f"{len(names) - failed} of {len(names)} presets within the bound")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
