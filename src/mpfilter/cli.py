@@ -6,7 +6,11 @@ Commands:
 * ``mpfilter list-presets``
 * ``mpfilter check <config>``
 
-The ``MPFILTER_LOG`` environment variable sets the log level.
+``check`` builds the run's setup with ``experiment.build_setup``, the
+builder ``run`` uses, so a config ``check`` accepts is not rejected by
+``run`` before its first cycle.  A start that is not shipped is
+integrated during ``check`` as during ``run``.  The ``MPFILTER_LOG``
+environment variable sets the log level.
 """
 
 from __future__ import annotations
@@ -16,20 +20,16 @@ import logging
 import os
 import sys
 
-from mpfilter.config import (
-    FILTERS,
-    ConfigError,
-    load_config,
-    load_preset,
-    preset_names,
-    validate,
-)
-from mpfilter.experiment import run_twin_experiment
+from mpfilter.config import FILTERS, ConfigError, load_config, load_preset, preset_names
+from mpfilter.experiment import build_setup, run_twin_experiment
 from mpfilter.models import IntegrationBlowupError
 from mpfilter.mpf import NonFiniteGradientError
 from mpfilter.ssm import NumericalDegeneracyError
 
 log = logging.getLogger("mpfilter")
+# a bad config, a failed integration or a diverged filter: one line, exit 1
+_RUN_ERRORS = (ConfigError, NumericalDegeneracyError, NonFiniteGradientError,
+              IntegrationBlowupError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-presets", help="list shipped experiment presets")
 
-    check = sub.add_parser("check", help="validate a config file and exit")
+    check = sub.add_parser("check", help="build a config's setup and exit")
     check.add_argument("config", help="path to the config file")
     return parser
 
@@ -67,9 +67,6 @@ def _resolve_config(args) -> tuple:
         cfg.seed = args.seed
     if args.filter is not None:
         cfg.filter = args.filter
-    if args.seed is not None or args.filter is not None:
-        # load_preset and load_config validated the config as loaded
-        validate(cfg)
     return cfg, name
 
 
@@ -84,8 +81,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "check":
         try:
-            load_config(args.config)
-        except ConfigError as exc:
+            build_setup(load_config(args.config))
+        except _RUN_ERRORS as exc:
             print(f"invalid: {exc}", file=sys.stderr)
             return 1
         print("ok")
@@ -98,8 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         result = run_twin_experiment(cfg, out_dir=args.out, name=name)
-    except (ConfigError, NumericalDegeneracyError, NonFiniteGradientError,
-            IntegrationBlowupError) as exc:
+    except _RUN_ERRORS as exc:
         # the rows written before the failure stay in the partial CSV
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,11 @@ required unless ``_MODEL_DEFAULTS`` gives the model's value.  Lines are
 fail-fast with the nearest valid key named.  Presets shipped with the
 package reproduce the standard experiments; ``-sir`` / ``-enkf`` suffixes
 give the baseline twins of any preset.
+
+Loading a config only parses it.  The rules on the values (bounds, the
+filter, the obs operator and q_spec a model accepts) are applied by
+``experiment.build_setup``, which builds the run from them, so a config is
+checked by building it.
 """
 
 from __future__ import annotations
@@ -20,9 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from mpfilter import mpf
-from mpfilter.baselines import ENKF_MIN_MEMBERS, SirConfig
 from mpfilter.core import ContractViolation
-from mpfilter.diagnostics import KDE_MAX_DIM
 from mpfilter.models import CholeraModel, Lorenz63, Lorenz96, load_cholera_params
 
 SECTIONS = ("kernel", "mpf", "sir", "lorenz96", "cholera")
@@ -48,11 +51,10 @@ _MODEL_DEFAULTS: dict[str, dict[str, object]] = {
 }
 MODELS = tuple(_MODEL_DEFAULTS)
 FILTERS = ("mpf", "sir", "enkf")  # FILTERS[1:], the baselines, name the preset twins
-CRITERIA = ("auto",) + mpf.CRITERIA
 
 
 class ConfigError(ValueError):
-    """Configuration file could not be parsed or validated."""
+    """A config that could not be parsed, or that breaks a rule of its run."""
 
 
 @dataclass(kw_only=True)
@@ -156,14 +158,8 @@ def parse_flat(text: str) -> dict[str, tuple[str, int]]:
 
 
 def loads(text: str, base_dir: Path | None = None) -> ExperimentConfig:
-    """Parse and validate; a relative cholera.params is read from base_dir."""
-    cfg = _parse(text, base_dir)
-    validate(cfg)
-    return cfg
-
-
-def _parse(text: str, base_dir: Path | None) -> ExperimentConfig:
-    """``loads`` without the validation: key syntax, types and defaults."""
+    """Parse: key syntax, types, defaults and the model name; a relative
+    cholera.params is read from base_dir."""
     raw = parse_flat(text)
     values: dict[str, object] = {}
     for key, (value, line_no) in raw.items():
@@ -196,7 +192,7 @@ def _parse(text: str, base_dir: Path | None) -> ExperimentConfig:
     return cfg
 
 
-def _check_section(section: str, build):
+def check_section(section: str, build):
     """Run a constructor that checks its own bounds; its ContractViolation
     opens with the field name, so ``section.`` makes that the config key."""
     try:
@@ -211,7 +207,7 @@ def build_model(cfg: ExperimentConfig):
     if cfg.model == "lorenz63":
         return Lorenz63(dt=cfg.dt)
     if cfg.model == "lorenz96":
-        return _check_section("lorenz96", lambda: Lorenz96(
+        return check_section("lorenz96", lambda: Lorenz96(
             n_vars=cfg.lorenz96_n_vars, forcing=cfg.lorenz96_forcing, dt=cfg.dt))
     path = cfg.cholera_params or default_cholera_params_path()
     try:
@@ -221,47 +217,6 @@ def build_model(cfg: ExperimentConfig):
     if abs(params.dt - cfg.dt) > 1e-15:
         raise ConfigError("dt must match the cholera parameter file (1/20 month)")
     return CholeraModel(params)
-
-
-def validate(cfg: ExperimentConfig) -> None:
-    """Every rule ``run`` would apply to ``cfg`` before its first cycle."""
-    if cfg.filter not in FILTERS:
-        raise ConfigError(f"unknown filter {cfg.filter!r}; choose from {FILTERS}")
-    if cfg.mpf_criterion not in CRITERIA:
-        raise ConfigError(f"unknown mpf.criterion {cfg.mpf_criterion!r}")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if cfg.n_particles < 1:
-        raise ConfigError("n_particles must be >= 1")
-    if cfg.filter == "enkf" and cfg.n_particles < ENKF_MIN_MEMBERS:
-        raise ConfigError(f"n_particles must be >= {ENKF_MIN_MEMBERS} for filter = enkf")
-    if cfg.cycles < 0:
-        raise ConfigError("cycles must be >= 0")
-    if cfg.cycle_steps < 1 or cfg.spinup_steps < 1:
-        raise ConfigError("cycle_steps and spinup_steps must be >= 1")
-    if cfg.dt <= 0.0 or cfg.r_variance <= 0.0 or cfg.kernel_alpha <= 0.0:
-        raise ConfigError("dt, r_variance and kernel.alpha must be > 0")
-    if not 0.0 < cfg.mpf_neff_threshold <= 1.0:
-        raise ConfigError("mpf.neff_threshold is a fraction of N_p in (0, 1]")
-    model = build_model(cfg)
-    if cfg.obs_operator not in model.obs_operators:
-        raise ConfigError(
-            f"obs_operator {cfg.obs_operator!r} invalid for {cfg.model}; "
-            f"choose from {tuple(model.obs_operators)}"
-        )
-    n_x = model.n_x
-    if cfg.mpf_criterion == "neff" and n_x > KDE_MAX_DIM:
-        raise ConfigError(
-            f"mpf.criterion = neff needs KDE weights, which are limited to "
-            f"{KDE_MAX_DIM} state dimensions (got {n_x}); use grad_ratio or max_iter"
-        )
-    _check_section("mpf", lambda: resolve_mapping_config(cfg, n_x))
-    _check_section("sir", lambda: SirConfig(cfg.sir_resample_threshold, cfg.sir_resampler))
-    kind, vals = parse_q_spec(cfg.q_spec)
-    if kind not in model.q_kinds:
-        raise ConfigError(f"q_spec {kind} is not defined for {cfg.model}; use diag:...")
-    if kind == "diag" and len(vals) not in (1, n_x):
-        raise ConfigError(f"q_spec diag needs 1 or {n_x} values, got {len(vals)}")
 
 
 def default_cholera_params_path() -> str:
@@ -351,8 +306,7 @@ def load_preset(name: str) -> ExperimentConfig:
         close = difflib.get_close_matches(name, preset_names(), n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise ConfigError(f"unknown preset {name!r}{hint}") from None
-    cfg = _parse(text, None)
+    cfg = loads(text)
     if override is not None:
         cfg.filter = override
-    validate(cfg)
     return cfg

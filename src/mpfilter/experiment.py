@@ -6,8 +6,10 @@ model's ``twin_window``), runs the chosen filter (MPF, SIR or EnKF) as one
 ``step(ssm, ensemble, y, t0, cycle) -> (Ensemble, CycleDiag)`` per cycle and
 writes one CSV row per assimilation cycle.  Setup names no model either:
 the model gives its start, initial ensemble, observation operator and
-climatology.  Identical (config, seed) pairs give identical numerical
-output.
+climatology.  ``build_setup`` is also where a config is checked: it applies
+every rule on the config's values while it builds the run, so ``mpfilter
+check`` and ``mpfilter run`` reject the same configs.  Identical (config,
+seed) pairs give identical numerical output.
 """
 
 from __future__ import annotations
@@ -18,17 +20,20 @@ from pathlib import Path
 
 import numpy as np
 
-from mpfilter.baselines import SirConfig, enkf_cycle, sir_cycle
+from mpfilter.baselines import ENKF_MIN_MEMBERS, SirConfig, enkf_cycle, sir_cycle
 from mpfilter.config import (
+    FILTERS,
+    ConfigError,
     ExperimentConfig,
     build_model,
+    check_section,
     default_cholera_params_path,  # noqa: F401  re-exported for the benchmark
     dump_config,
     parse_q_spec,
     resolve_mapping_config,
 )
 from mpfilter.core import Covariance, Ensemble
-from mpfilter.diagnostics import CycleDiag, score_cycle, weight_variance
+from mpfilter.diagnostics import KDE_MAX_DIM, CycleDiag, score_cycle, weight_variance
 from mpfilter.kernels import GaussianKernel
 from mpfilter.mpf import MappingConfig, mapping_cycle
 from mpfilter.rng import RandomStream
@@ -86,10 +91,16 @@ def resolve_q_diagonal(cfg: ExperimentConfig, model) -> np.ndarray:
     ``climatological:frac`` sets each variance to ``frac`` times the
     climatological variance of that component, scaled by the assimilation
     window length (the fraction acts as an error growth rate per unit
-    model time).  The resolved values are frozen into the config echo.
+    model time).  The resolved values are frozen into the config echo.  A
+    kind ``model`` does not define, or a ``diag`` list that is neither one
+    value nor one per state component, raises ConfigError.
     """
     kind, vals = parse_q_spec(cfg.q_spec)
+    if kind not in model.q_kinds:
+        raise ConfigError(f"q_spec {kind} is not defined for {cfg.model}; use diag:...")
     if kind == "diag":
+        if len(vals) not in (1, model.n_x):
+            raise ConfigError(f"q_spec diag needs 1 or {model.n_x} values, got {len(vals)}")
         return np.full(model.n_x, vals[0]) if len(vals) == 1 else np.asarray(vals)
     window = cfg.cycle_steps * cfg.dt
     return vals[0] * model.climatology() * window
@@ -103,6 +114,7 @@ class TwinSetup:
     ssm: StateSpaceModel
     kernel: GaussianKernel
     mapping: MappingConfig
+    sir: SirConfig
     truth0: np.ndarray
     ensemble0: Ensemble
     streams: RandomStream
@@ -112,11 +124,42 @@ class TwinSetup:
 def build_setup(cfg: ExperimentConfig) -> TwinSetup:
     """Model, operators, streams and initial states of one run.
 
-    The model's start does not depend on the seed (the Lorenz presets read
-    theirs from ``data/start_states.npz``); only the draws from the
-    ``init`` stream do.
+    A value ``cfg`` may not take raises ConfigError naming its key, before
+    any integration: the constructors of the model, the ``MappingConfig``
+    and the ``SirConfig`` check their own bounds, and the rules here cover
+    the rest.  The model's start does not depend on the seed (the Lorenz
+    presets read theirs from ``data/start_states.npz``); only the draws
+    from the ``init`` stream do.
     """
+    if cfg.filter not in FILTERS:
+        raise ConfigError(f"unknown filter {cfg.filter!r}; choose from {FILTERS}")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if cfg.n_particles < 1:
+        raise ConfigError("n_particles must be >= 1")
+    if cfg.filter == "enkf" and cfg.n_particles < ENKF_MIN_MEMBERS:
+        raise ConfigError(f"n_particles must be >= {ENKF_MIN_MEMBERS} for filter = enkf")
+    if cfg.cycles < 0:
+        raise ConfigError("cycles must be >= 0")
+    if cfg.cycle_steps < 1 or cfg.spinup_steps < 1:
+        raise ConfigError("cycle_steps and spinup_steps must be >= 1")
+    if cfg.dt <= 0.0 or cfg.r_variance <= 0.0 or cfg.kernel_alpha <= 0.0:
+        raise ConfigError("dt, r_variance and kernel.alpha must be > 0")
+    if not 0.0 < cfg.mpf_neff_threshold <= 1.0:
+        raise ConfigError("mpf.neff_threshold is a fraction of N_p in (0, 1]")
     model = build_model(cfg)
+    if cfg.obs_operator not in model.obs_operators:
+        raise ConfigError(
+            f"obs_operator {cfg.obs_operator!r} invalid for {cfg.model}; "
+            f"choose from {tuple(model.obs_operators)}"
+        )
+    if cfg.mpf_criterion == "neff" and model.n_x > KDE_MAX_DIM:
+        raise ConfigError(
+            f"mpf.criterion = neff needs KDE weights, which are limited to "
+            f"{KDE_MAX_DIM} state dimensions (got {model.n_x}); use grad_ratio or max_iter"
+        )
+    mapping = check_section("mpf", lambda: resolve_mapping_config(cfg, model.n_x))
+    sir = check_section("sir", lambda: SirConfig(cfg.sir_resample_threshold, cfg.sir_resampler))
     q_diag = resolve_q_diagonal(cfg, model)
     q = Covariance.diagonal(q_diag)
     window = cfg.cycle_steps * cfg.dt
@@ -124,7 +167,6 @@ def build_setup(cfg: ExperimentConfig) -> TwinSetup:
     r = Covariance.isotropic(cfg.r_variance, h.shape[0])
     ssm = StateSpaceModel(dynamics=model, obs_matrix=h, q=q, r=r, cycle_steps=cfg.cycle_steps)
     kernel = GaussianKernel.from_model_error(q, cfg.kernel_alpha)
-    mapping = resolve_mapping_config(cfg, model.n_x)
     streams = RandomStream(cfg.seed)
     truth0, states = model.initial_ensemble(
         model.start(cfg.spinup_steps), q, streams.substream("init"), cfg.n_particles)
@@ -134,6 +176,7 @@ def build_setup(cfg: ExperimentConfig) -> TwinSetup:
         ssm=ssm,
         kernel=kernel,
         mapping=mapping,
+        sir=sir,
         truth0=truth0,
         ensemble0=Ensemble.equal_weight(states),
         streams=streams,
@@ -156,9 +199,8 @@ def _filter_step(cfg: ExperimentConfig, setup: TwinSetup, trace_file):
     particle_rngs = setup.streams.particle_streams(cfg.n_particles)
     resample_rng = setup.streams.substream("resampling")
     if cfg.filter == "sir":
-        sir_cfg = SirConfig(cfg.sir_resample_threshold, cfg.sir_resampler)
         return lambda ssm, ens, y, t0, cycle: sir_cycle(
-            ssm, ens, y, sir_cfg, particle_rngs, resample_rng, t0)
+            ssm, ens, y, setup.sir, particle_rngs, resample_rng, t0)
     if cfg.filter == "enkf":
         return lambda ssm, ens, y, t0, cycle: enkf_cycle(
             ssm, ens, y, particle_rngs, resample_rng, t0)

@@ -161,18 +161,17 @@ def kl_gradient_field(
     kernel: GaussianKernel,
     states: np.ndarray,
     logp_grads: np.ndarray,
-    gram: np.ndarray | None = None,
+    gram: np.ndarray,
 ) -> np.ndarray:
     """Monte-Carlo KL divergence gradient at every particle.
 
     ``dKL(x_j) = -(1/N_p) sum_l [K(x_l, x_j) g_l - A^{-1}(x_l - x_j) K(x_l, x_j)]``
-    ``gram``, when given, is ``kernel.interactions(states)`` computed
-    already.  The second term is the repulsion; with a single particle the
-    field collapses to ``-g`` (the 3D-Var limit).
+    with ``gram = kernel.interactions(states)``.  The second term is the
+    repulsion; with a single particle the field collapses to ``-g`` (the
+    3D-Var limit).
     """
     if logp_grads.shape != states.shape:
         raise ContractViolation("logp_grads shape must match particle states")
-    gram = kernel.interactions(states) if gram is None else gram
     n_p, n_x = states.shape
     rhs = np.empty((n_p, 2 * n_x + 1))
     rhs[:, :n_x] = logp_grads

@@ -154,20 +154,19 @@ def log_posterior_grad(
     ssm: StateSpaceModel, prior: PriorMixture, x: np.ndarray, y: np.ndarray,
     mixture: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Gradient of the log sequential posterior (batched over particles).
+    """Gradient of the log sequential posterior at each row of the 2-D
+    float ``x``.
 
     ``H^T R^{-1} (y - H x) - Q^{-1} (x - sum_m resp_m c_m)`` where the
     responsibilities are the softmax of the mixture components at ``x``;
     the weighted center sum is read from ``mixture = prior.evaluate(x)``
     when it is given.
     """
-    xs = x if x.ndim > 1 else x[None]
-    centers_bar, log_density = prior.evaluate(xs) if mixture is None else mixture
+    centers_bar, log_density = prior.evaluate(x) if mixture is None else mixture
     if (log_density == -np.inf).any():
         bad = int(np.argmin(log_density))
         raise NumericalDegeneracyError(
             f"mixture responsibilities underflowed at particle {bad}"
         )
-    innov = y - xs @ ssm.obs_matrix.T
-    grad = ssm.r.solve(innov) @ ssm.obs_matrix - ssm.q.solve(xs - centers_bar)
-    return grad if x.ndim > 1 else grad[0]
+    innov = y - x @ ssm.obs_matrix.T
+    return ssm.r.solve(innov) @ ssm.obs_matrix - ssm.q.solve(x - centers_bar)

@@ -166,8 +166,8 @@ def test_criterion_6_single_particle_variational_limit():
         kernel = GaussianKernel.from_model_error(prior.q, 1.0)
         x = rng.standard_normal((1, n_x))
         y = rng.standard_normal(n_x)
-        field = kl_gradient_field(kernel, x,
-                                  log_posterior_grad(ssm, prior, x, y))
+        field = kl_gradient_field(kernel, x, log_posterior_grad(ssm, prior, x, y),
+                                  kernel.interactions(x))
         direct = log_posterior_grad(ssm, prior, x, y)
         worst = max(worst, np.max(np.abs(field + direct)))
     report(6, worst < 1e-14, f"max |field + grad| = {worst:.2e}")
@@ -264,10 +264,10 @@ def test_criterion_8_gaussian_sanity():
 
     repulsion_ok = True
     prev = min_dist(states)
+    flat_kernel = GaussianKernel.from_model_error(Covariance.diagonal([1.0, 1.0]), 1.0)
     for _ in range(20):
         states = states - 0.05 * kl_gradient_field(
-            GaussianKernel.from_model_error(Covariance.diagonal([1.0, 1.0]), 1.0),
-            states, zero_grads)
+            flat_kernel, states, zero_grads, flat_kernel.interactions(states))
         cur = min_dist(states)
         repulsion_ok = repulsion_ok and cur > prev
         prev = cur

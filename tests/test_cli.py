@@ -87,9 +87,9 @@ class TestQResolution:
                                    [0.2, 0.2, 0.2])
 
     def test_diag_wrong_length(self):
-        # rejected when the config is read, before any run needs Q
+        cfg = loads(SMALL.replace("diag:0.2", "diag:0.2,0.3"))
         with pytest.raises(ConfigError, match="q_spec diag needs 1 or 3 values"):
-            loads(SMALL.replace("diag:0.2", "diag:0.2,0.3"))
+            resolve_q_diagonal(cfg, build_model(cfg))
 
     def test_climatological_scaled_by_window(self):
         cfg = loads("model = lorenz63\nseed = 1\n")
@@ -99,9 +99,10 @@ class TestQResolution:
         assert np.all(q > 0.05) and np.all(q < 0.5)
 
     def test_climatological_rejected_for_cholera(self):
-        # rejected when the config is read, before any run needs Q
+        # rejected before the model is asked for a climatology it lacks
+        cfg = loads("model = cholera\nseed = 1\nq_spec = climatological:0.3\n")
         with pytest.raises(ConfigError, match="q_spec climatological"):
-            loads("model = cholera\nseed = 1\nq_spec = climatological:0.3\n")
+            resolve_q_diagonal(cfg, build_model(cfg))
 
 
 def shipped_tables() -> dict:
@@ -546,10 +547,23 @@ class TestCliCommands:
         pytest.param(SMALL.replace("diag:0.2", "diag:0.2,0.3"), "q_spec",
                      id="diag-length"),
         pytest.param("model = cholera\nseed = 1\ndt = 0.1\n", "dt", id="cholera-dt"),
+        pytest.param(SMALL + "filter = ukf\n", "filter", id="filter"),
+        pytest.param(SMALL + "obs_operator = every2\n", "obs_operator", id="obs-operator"),
+        pytest.param(SMALL.replace("n_particles = 5", "n_particles = 0"), "n_particles",
+                     id="n_particles"),
+        pytest.param(SMALL.replace("cycles = 4", "cycles = -1"), "cycles", id="cycles"),
+        pytest.param(SMALL + "mpf.neff_threshold = 1.5\n", "mpf.neff_threshold",
+                     id="neff_threshold"),
+        pytest.param(SMALL + "kernel.alpha = 0\n", "kernel.alpha", id="kernel-alpha"),
+        pytest.param("model = lorenz96\nseed = 1\nmpf.criterion = neff\n",
+                     "limited to 10 state dimensions (got 40)", id="kde-limit"),
+        pytest.param("model = lorenz96\nseed = 1\ndt = 0.2\nspinup_steps = 2000\n",
+                     "blew up at step 8", id="spinup-blowup"),
     ])
     def test_check_rejects_what_run_rejects(self, tmp_path, capsys, text, key):
-        # every config run would refuse is refused by check first, and run
-        # refuses it with one line, not a traceback
+        # every config run would refuse before its first cycle is refused
+        # by check, which builds the same setup, and run refuses it with
+        # one line, not a traceback
         with open(default_cholera_params_path(), encoding="utf-8") as f:
             (tmp_path / "params.cfg").write_text(f.read() + "foo = 1\n")
         cfg = tmp_path / "bad.cfg"
@@ -561,20 +575,38 @@ class TestCliCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
 
-    def test_run_validates_once_without_overrides(self, tmp_path, monkeypatch):
-        # load_preset validates the preset once, after any -sir / -enkf
-        # suffix, building the model once; with no --seed or --filter the
-        # run builds it once more, in build_setup
+    @pytest.mark.parametrize("text", [
+        "model = lorenz96\nseed = 1\nobs_operator = every2\n",
+        "model = lorenz96\nseed = 1\nmpf.criterion = neff\nlorenz96.n_vars = 8\n"
+        "spinup_steps = 200\n",
+        SMALL + "mpf.criterion = neff\n",
+    ], ids=["lorenz96-every2", "lorenz96-8-neff", "lorenz63-neff"])
+    def test_check_accepts_what_the_rules_allow(self, tmp_path, capsys, text):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(text)
+        assert main(["check", str(cfg)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+
+    def test_cholera_params_read_once(self, tmp_path, monkeypatch):
+        # build_setup is the one place the model is built: run reads the
+        # parameter file once, with or without --seed / --filter, and so
+        # does check
         reads = []
         real_load, real_run = config.load_cholera_params, cli.run_twin_experiment
         monkeypatch.setattr(config, "load_cholera_params",
                             lambda path: reads.append(path) or real_load(path))
         monkeypatch.setattr(cli, "run_twin_experiment",
                             lambda cfg, **kw: real_run(replace(cfg, cycles=2), **kw))
-        for preset in ("cholera-20p", "cholera-20p-sir"):
+        cfg, out = tmp_path / "cholera.cfg", str(tmp_path)
+        cfg.write_text("model = cholera\nseed = 1\n")
+        for argv in (["run", "--preset", "cholera-20p", "--out", out],
+                     ["run", "--preset", "cholera-20p-sir", "--out", out],
+                     ["run", "--preset", "cholera-20p", "--seed", "3", "--out", out],
+                     ["run", "--preset", "cholera-20p", "--filter", "enkf", "--out", out],
+                     ["check", str(cfg)]):
             reads.clear()
-            assert main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
-            assert len(reads) == 2, preset
+            assert main(argv) == 0
+            assert len(reads) == 1, argv
 
     def test_run_bad_seed_override_exits_cleanly(self, tmp_path, capsys):
         assert main(["run", "--preset", "lorenz63-full-5p", "--seed", "-1",

@@ -1,10 +1,11 @@
-"""Config parsing, validation, presets and the canonical dump round-trip."""
+"""Config parsing, presets and the canonical dump round-trip.  The rules on
+the values are applied by ``build_setup``; ``test_cli.py`` tests each one
+through ``mpfilter check`` and ``mpfilter run``."""
 
 from dataclasses import fields
 
 import pytest
 
-from mpfilter.cli import main
 from mpfilter.config import (
     _MODEL_DEFAULTS,
     MODELS,
@@ -17,6 +18,7 @@ from mpfilter.config import (
     parse_q_spec,
     preset_names,
 )
+from mpfilter.experiment import build_setup
 
 MINIMAL = "model = lorenz63\nseed = 1\n"
 
@@ -74,37 +76,6 @@ class TestLoads:
         with pytest.raises(ConfigError, match="unknown model"):
             loads("model = lorenz42\nseed = 1\n")
 
-    def test_invalid_filter(self):
-        with pytest.raises(ConfigError):
-            loads(MINIMAL + "filter = ukf\n")
-
-    def test_obs_operator_per_model(self):
-        with pytest.raises(ConfigError):
-            loads(MINIMAL + "obs_operator = every2\n")
-        cfg = loads("model = lorenz96\nseed = 1\nobs_operator = every2\n")
-        assert cfg.obs_operator == "every2"
-
-    def test_range_checks(self):
-        with pytest.raises(ConfigError):
-            loads(MINIMAL + "n_particles = 0\n")
-        with pytest.raises(ConfigError):
-            loads(MINIMAL + "cycles = -1\n")
-        with pytest.raises(ConfigError):
-            loads(MINIMAL + "mpf.neff_threshold = 1.5\n")
-        with pytest.raises(ConfigError):
-            loads(MINIMAL + "kernel.alpha = 0\n")
-
-    def test_neff_criterion_limited_to_kde_dimensions(self, tmp_path, capsys):
-        l96 = "model = lorenz96\nseed = 1\nmpf.criterion = neff\n"
-        with pytest.raises(ConfigError, match="limited to 10 state dimensions"):
-            loads(l96)
-        assert loads(l96 + "lorenz96.n_vars = 8\n").mpf_criterion == "neff"
-        assert loads(MINIMAL + "mpf.criterion = neff\n").mpf_criterion == "neff"
-        path = tmp_path / "l96-neff.cfg"
-        path.write_text(l96)
-        assert main(["check", str(path)]) == 1
-        assert "limited to 10 state dimensions (got 40)" in capsys.readouterr().err
-
     def test_bool_values(self):
         assert loads(MINIMAL + "trace = yes\n").trace is True
         assert loads(MINIMAL + "trace = false\n").trace is False
@@ -130,9 +101,11 @@ class TestQSpec:
 
 class TestPresets:
     def test_all_presets_load(self):
+        # building the setup applies every rule run applies to the preset
         for name in preset_names():
             cfg = load_preset(name)
             assert cfg.model in ("lorenz63", "lorenz96", "cholera")
+            build_setup(cfg)
 
     def test_lorenz96_preset_documented_values(self):
         cfg = load_preset("lorenz96-full-20p")
@@ -231,4 +204,6 @@ cholera.params = params.cfg
 
     def test_every_model_loads_from_defaults(self):
         for model in MODELS:
-            assert loads(f"model = {model}\nseed = 1\n").model == model
+            cfg = loads(f"model = {model}\nseed = 1\n")
+            assert cfg.model == model
+            build_setup(cfg)

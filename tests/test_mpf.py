@@ -60,19 +60,21 @@ class TestKlGradientField:
             x = rng.standard_normal((1, 1))
             y = rng.standard_normal(1)
             g = log_posterior_grad(ssm, prior, x, y)
-            field = kl_gradient_field(kernel, x, g)
+            field = kl_gradient_field(kernel, x, g, kernel.interactions(x))
             assert np.max(np.abs(field + g)) < 1e-14
 
     def test_repulsion_hand_value(self):
         # flat target, particles {0, 1}: the field at 1 pushes it upward
-        field = kl_gradient_field(kernel_1d(), np.array([[0.0], [1.0]]),
-                                  np.zeros((2, 1)))
+        kernel, states = kernel_1d(), np.array([[0.0], [1.0]])
+        field = kl_gradient_field(kernel, states, np.zeros((2, 1)),
+                                  kernel.interactions(states))
         assert field[1, 0] == pytest.approx(-0.5 * np.exp(-0.5), rel=1e-12)
         assert field[0, 0] == pytest.approx(+0.5 * np.exp(-0.5), rel=1e-12)
 
     def test_coincident_flat_zero(self):
-        field = kl_gradient_field(kernel_1d(), np.array([[1.0], [1.0]]),
-                                  np.zeros((2, 1)))
+        kernel, states = kernel_1d(), np.array([[1.0], [1.0]])
+        field = kl_gradient_field(kernel, states, np.zeros((2, 1)),
+                                  kernel.interactions(states))
         np.testing.assert_array_equal(field, np.zeros((2, 1)))
 
     def test_permutation_equivariance(self):
@@ -81,13 +83,15 @@ class TestKlGradientField:
         states = rng.standard_normal((6, 1))
         grads = rng.standard_normal((6, 1))
         perm = rng.permutation(6)
-        a = kl_gradient_field(kernel, states, grads)[perm]
-        b = kl_gradient_field(kernel, states[perm], grads[perm])
+        a = kl_gradient_field(kernel, states, grads, kernel.interactions(states))[perm]
+        b = kl_gradient_field(kernel, states[perm], grads[perm],
+                              kernel.interactions(states[perm]))
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):
-            kl_gradient_field(kernel_1d(), np.zeros((3, 1)), np.zeros((2, 1)))
+            kernel, states = kernel_1d(), np.zeros((3, 1))
+            kl_gradient_field(kernel, states, np.zeros((2, 1)), kernel.interactions(states))
 
     def test_flat_target_repulsion_increases_separation(self):
         # sgd descent on a flat target strictly grows min pairwise distance
@@ -99,7 +103,8 @@ class TestKlGradientField:
             return d[~np.eye(8, dtype=bool)].min()
         prev = min_dist(states)
         for _ in range(20):
-            field = kl_gradient_field(kernel, states, np.zeros((8, 1)))
+            field = kl_gradient_field(kernel, states, np.zeros((8, 1)),
+                                      kernel.interactions(states))
             states = states - 0.05 * field
             cur = min_dist(states)
             assert cur > prev
@@ -133,7 +138,7 @@ class TestMatrixFormRepulsion:
         states = 10.0 + 2.0 * rng.standard_normal((n_p, n_x))
         states[1::2] = states[0:n_p - 1:2]
         grads = rng.standard_normal((n_p, n_x))
-        new = kl_gradient_field(kernel, states, grads)
+        new = kl_gradient_field(kernel, states, grads, kernel.interactions(states))
         old = tensor_form_field(kernel, states, grads)
         assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
@@ -147,7 +152,8 @@ class TestMatrixFormRepulsion:
         variances, alpha = rng.uniform(0.2, 2.0, size=n_x), float(rng.uniform(0.5, 20.0))
         kernel = GaussianKernel.from_model_error(Covariance.diagonal(variances), alpha)
         states = 5.0 + np.sqrt(alpha * variances / n_x) * rng.standard_normal((12, n_x))
-        field = kl_gradient_field(kernel, states, np.zeros_like(states))
+        field = kl_gradient_field(kernel, states, np.zeros_like(states),
+                                  kernel.interactions(states))
         oracle = np.array([
             -np.mean([grad_source(kernel.bandwidth, xl, xj) for xl in states], axis=0)
             for xj in states])

@@ -241,7 +241,7 @@ class TestLogPosteriorGrad:
         x = np.array([1.0, 1.0])
         y = np.array([2.0, 0.0])
         expect = (y - x) / 0.5 - (x - center) / 2.0
-        np.testing.assert_allclose(log_posterior_grad(ssm, prior, x, y), expect,
+        np.testing.assert_allclose(log_posterior_grad(ssm, prior, x[None], y)[0], expect,
                                    atol=1e-12)
 
     def test_symmetric_stationary_point(self):
@@ -249,7 +249,7 @@ class TestLogPosteriorGrad:
         m, y = np.array([0.0]), np.array([2.0])
         prior = PriorMixture(m[None], ssm.q)
         x = (y + m) / 2.0
-        np.testing.assert_allclose(log_posterior_grad(ssm, prior, x, y), [0.0],
+        np.testing.assert_allclose(log_posterior_grad(ssm, prior, x[None], y)[0], [0.0],
                                    atol=1e-14)
 
     def test_kalman_mean_is_gradient_zero(self):
@@ -260,7 +260,7 @@ class TestLogPosteriorGrad:
         prior = PriorMixture(np.array([[m]]), ssm.q)
         kalman = (m / q + y / r) / (1.0 / q + 1.0 / r)
         np.testing.assert_allclose(
-            log_posterior_grad(ssm, prior, np.array([kalman]), np.array([y])),
+            log_posterior_grad(ssm, prior, np.array([[kalman]]), np.array([y]))[0],
             [0.0], atol=1e-12)
 
     def test_finite_difference_oracle(self):
@@ -276,7 +276,7 @@ class TestLogPosteriorGrad:
             prior = PriorMixture(rng.standard_normal((n_p, n_x)), ssm.q)
             x = rng.standard_normal(n_x)
             y = rng.standard_normal(n_y)
-            grad = log_posterior_grad(ssm, prior, x, y)
+            grad = log_posterior_grad(ssm, prior, x[None], y)[0]
             fd = np.empty(n_x)
             for i in range(n_x):
                 e = np.zeros(n_x)
@@ -295,7 +295,7 @@ class TestLogPosteriorGrad:
         batch = log_posterior_grad(ssm, prior, xs, y)
         for j in range(7):
             np.testing.assert_allclose(batch[j],
-                                       log_posterior_grad(ssm, prior, xs[j], y),
+                                       log_posterior_grad(ssm, prior, xs[j][None], y)[0],
                                        atol=1e-13)
 
 

@@ -14,18 +14,21 @@ reports none) and median ``wallclock_ms``.
 Per preset the tool prints, over the seeds, the median of the paired
 differences (change minus parent) of the RMSE, the iterations and the min
 N_eff, with the number of seeds on which the change is higher and lower;
-the parent's seed-to-seed interquartile range (IQR) of the RMSE; and the
-median ``wallclock_ms`` of both trees, so a slowdown on a preset outside
-the benchmark shows.  A preset fails when its median paired RMSE
-difference exceeds ``BOUND`` times that IQR, either way, or when a run
-fails in one tree and not the other.  The exit status is 1 if any preset
-fails, else 0.  One seed gives an IQR of 0, so any difference fails: the
-check needs several seeds, and was calibrated at 10.
+the parent's seed-to-seed interquartile range (IQR) of the RMSE and of the
+iterations; and the median ``wallclock_ms`` of both trees, so a slowdown
+on a preset outside the benchmark shows.  A preset fails when the median
+paired difference of its RMSE or of its iterations (the ``GATED``
+metrics) exceeds ``BOUND`` times the parent's IQR of that metric, either
+way, or when a run fails in one tree and not the other.  The exit status
+is 1 if any preset fails, else 0.  One seed gives an IQR of 0, so any
+difference fails: the check needs several seeds, and was calibrated at
+10.
 
 A change that reorders sums moves the time-mean RMSE of a chaotic,
 partially observed preset by up to about 10% on one seed, so neither a
 byte-level comparison (``tools/same_csvs.py``) nor one seed can tell it
-from a regression; paired over many seeds, its differences center on 0.  CHANGES.md records the calibration of ``BOUND``.
+from a regression; paired over many seeds, its differences center on 0.
+CHANGES.md records the calibration of ``BOUND``.
 This is not part of the test suite.
 """
 
@@ -70,6 +73,7 @@ print(json.dumps(out))
 """
 
 METRICS = ("rmse", "iterations", "min_neff")
+GATED = ("rmse", "iterations")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -113,13 +117,16 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
         diffs = [c[metric] - p[metric] for p, c in pairs]
         out[f"d_{metric}"] = _median(diffs)
         out[f"d_{metric}_signs"] = _signs(diffs)
-    q1, q3 = np.percentile([p["rmse"] for p, _ in pairs], [25, 75]) if pairs else (0.0, 0.0)
-    out["parent_iqr"] = float(q3 - q1)
-    out["ratio"] = abs(out["d_rmse"]) / out["parent_iqr"] if out["parent_iqr"] > 0 else (
-        0.0 if out["d_rmse"] == 0 else float("inf"))
+    for metric in GATED:
+        q1, q3 = np.percentile([p[metric] for p, _ in pairs], [25, 75]) if pairs else (0.0, 0.0)
+        iqr, diff = float(q3 - q1), out[f"d_{metric}"]
+        out[f"{metric}_iqr"] = iqr
+        out[f"{metric}_ratio"] = abs(diff) / iqr if iqr > 0 else (
+            0.0 if diff == 0 else float("inf"))
     for side, runs in (("parent", parent), ("change", change)):
         out[f"{side}_wallclock_ms"] = _median([r["wallclock_ms"] for r in runs if "error" not in r])
-    out["ok"] = bool(pairs) and out["ratio"] <= BOUND and out["mismatched_errors"] == 0
+    out["ok"] = (bool(pairs) and out["mismatched_errors"] == 0
+                 and all(out[f"{metric}_ratio"] <= BOUND for metric in GATED))
     return out
 
 
@@ -139,14 +146,17 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{len(args.seeds)} seeds, bound {BOUND} x parent IQR")
     print(f"{'preset':30} {'dRMSE':>10} {'signs':>7} {'IQR':>8} {'ratio':>6} "
-          f"{'dIter':>7} {'dMinNeff':>9} {'ms parent':>9} {'ms change':>9}")
+          f"{'dIter':>7} {'signs':>7} {'IQR':>6} {'ratio':>6} "
+          f"{'dMinNeff':>9} {'ms parent':>9} {'ms change':>9}")
     failed = 0
     for name in names:
         s = summarize([r.get(name, {"error": "missing"}) for r in parent],
                       [r.get(name, {"error": "missing"}) for r in change])
         failed += not s["ok"]
         print(f"{name:30} {s['d_rmse']:>+10.4f} {s['d_rmse_signs']:>7} "
-              f"{s['parent_iqr']:>8.4f} {s['ratio']:>6.2f} {s['d_iterations']:>+7.2f} "
+              f"{s['rmse_iqr']:>8.4f} {s['rmse_ratio']:>6.2f} "
+              f"{s['d_iterations']:>+7.2f} {s['d_iterations_signs']:>7} "
+              f"{s['iterations_iqr']:>6.2f} {s['iterations_ratio']:>6.2f} "
               f"{s['d_min_neff']:>+9.3f} {s['parent_wallclock_ms']:>9.2f} "
               f"{s['change_wallclock_ms']:>9.2f}  {'ok' if s['ok'] else 'FAILS'}"
               + (f" ({s['errors']} failed runs)" if s["errors"] else ""))
