@@ -82,7 +82,6 @@ class ExperimentConfig:
     mpf_adadelta_rho: float = 0.95
     mpf_adam_beta1: float = 0.9
     mpf_adam_beta2: float = 0.999
-    mpf_carry_weights: bool = False
     sir_resample_threshold: float = 0.5
     sir_resampler: str = "systematic"
     lorenz96_n_vars: int = 40

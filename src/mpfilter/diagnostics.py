@@ -5,7 +5,8 @@ per-cycle diagnostic record every filter returns (:class:`CycleDiag`).
 The proposal density for the weights is a kernel density estimate over the
 particles, evaluated at the particles themselves from the kernel Gram
 matrix, and only up to ``KDE_MAX_DIM`` state dimensions.  Weights are a
-diagnostic by default; the filter ensemble itself stays equal-weight.
+diagnostic only: the filter ensemble, and the next cycle's prior, stay
+equal-weight.
 """
 
 from __future__ import annotations

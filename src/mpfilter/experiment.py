@@ -33,11 +33,11 @@ from mpfilter.config import (
     resolve_mapping_config,
 )
 from mpfilter.core import Covariance, Ensemble
-from mpfilter.diagnostics import KDE_MAX_DIM, CycleDiag, score_cycle, weight_variance
+from mpfilter.diagnostics import KDE_MAX_DIM, CycleDiag, score_cycle
 from mpfilter.kernels import GaussianKernel
 from mpfilter.mpf import MappingConfig, mapping_cycle
 from mpfilter.rng import RandomStream
-from mpfilter.ssm import PriorMixture, StateSpaceModel
+from mpfilter.ssm import StateSpaceModel
 
 CSV_HEADER = (
     "cycle,time,rmse,spread,neff,kl_from_weights,weight_variance,"
@@ -75,7 +75,6 @@ class CycleRecord(CycleDiag):
 class RunResult:
     config: ExperimentConfig
     records: list[CycleRecord]
-    final_ensemble: Ensemble
     q_diagonal: np.ndarray
     csv_path: Path | None = None
     trace_path: Path | None = None
@@ -161,6 +160,13 @@ def build_setup(cfg: ExperimentConfig) -> TwinSetup:
     mapping = check_section("mpf", lambda: resolve_mapping_config(cfg, model.n_x))
     sir = check_section("sir", lambda: SirConfig(cfg.sir_resample_threshold, cfg.sir_resampler))
     q_diag = resolve_q_diagonal(cfg, model)
+    tiny = np.finfo(float).tiny  # below it a variance's inverse can overflow
+    with np.errstate(over="ignore"):  # a bandwidth that overflows is inf
+        bandwidth = cfg.kernel_alpha * q_diag
+    for key, variances in (("r_variance", cfg.r_variance), ("q_spec", q_diag),
+                           ("kernel.alpha times Q", bandwidth)):
+        if not (np.min(variances) >= tiny and np.max(variances) < np.inf):
+            raise ConfigError(f"{key} must be finite and >= {tiny:g}, the smallest normal float")
     q = Covariance.diagonal(q_diag)
     window = cfg.cycle_steps * cfg.dt
     h = model.observation_matrix(cfg.obs_operator, window)
@@ -195,7 +201,7 @@ def _filter_step(cfg: ExperimentConfig, setup: TwinSetup, trace_file):
     """The configured filter as one cycle ``step(ssm, ensemble, y, t0,
     cycle) -> (Ensemble, CycleDiag)``: forecast from ``t0`` and analysis
     of ``y``.  The MPF step writes its per-iteration trace to
-    ``trace_file``, when given, and keeps the carried prior weights."""
+    ``trace_file``, when given."""
     particle_rngs = setup.streams.particle_streams(cfg.n_particles)
     resample_rng = setup.streams.substream("resampling")
     if cfg.filter == "sir":
@@ -204,33 +210,15 @@ def _filter_step(cfg: ExperimentConfig, setup: TwinSetup, trace_file):
     if cfg.filter == "enkf":
         return lambda ssm, ens, y, t0, cycle: enkf_cycle(
             ssm, ens, y, particle_rngs, resample_rng, t0)
-    prior_weights = None
 
     def mpf_step(ssm, ens, y, t0, cycle):
-        nonlocal prior_weights
         centers, states = ssm.forecast(ens.states, particle_rngs, t0)
-        prior = PriorMixture(centers, ssm.q, weights=prior_weights)
         sink = None
         if trace_file is not None:
             def sink(i, gnorm, n_eff):
                 trace_file.write(f"{cycle},{i},{_fmt(gnorm)},{_fmt(n_eff)}\n")
-        result = mapping_cycle(
-            ssm, prior, Ensemble.equal_weight(states), y, setup.kernel,
-            setup.mapping, cycle=cycle, diag_sink=sink,
-        )
-        diag = CycleDiag(
-            map_iterations=result.iterations,
-            grad_norm_initial=result.grad_norm_trace[0],
-            grad_norm_final=result.grad_norm_trace[-1],
-        )
-        report = result.report
-        if report is not None:
-            diag.neff = report.n_eff
-            diag.kl_from_weights = report.kl_from_weights
-            diag.weight_variance = weight_variance(report.weights)
-            if cfg.mpf_carry_weights:
-                prior_weights = report.weights
-        return result.ensemble, diag
+        return mapping_cycle(ssm, centers, states, y, setup.kernel, setup.mapping,
+                             cycle=cycle, diag_sink=sink)
 
     return mpf_step
 
@@ -311,7 +299,6 @@ def run_twin_experiment(
     return RunResult(
         config=cfg,
         records=records,
-        final_ensemble=ensemble,
         q_diagonal=setup.q_diagonal,
         csv_path=csv_path,
         trace_path=trace_path,

@@ -1,7 +1,8 @@
 """Mapping particle filter engine.
 
-One assimilation cycle: freeze the Gaussian-mixture prior (centers are the
-deterministically advanced previous particles), then iterate
+One assimilation cycle: freeze the equal-weight Gaussian-mixture prior
+(centers are the deterministically advanced previous particles), then
+iterate
 
     g_l   = grad log posterior at particle l
     dKL_j = -(1/N_p) sum_l [ K(x_l, x_j) g_l + grad_source K(x_l, x_j) ]
@@ -33,9 +34,11 @@ import numpy as np
 from mpfilter.core import ContractViolation, Ensemble
 from mpfilter.diagnostics import (
     KDE_MAX_DIM,
+    CycleDiag,
     WeightReport,
     importance_report,
     kde_log_proposal,
+    weight_variance,
 )
 from mpfilter.kernels import GaussianKernel
 from mpfilter.ssm import PriorMixture, StateSpaceModel, log_posterior_grad
@@ -204,18 +207,6 @@ def check_convergence(
     return neff_trace[-1] >= cfg.resolved_neff_threshold(n_particles)
 
 
-@dataclass
-class MappingResult:
-    """``report``: KDE-route weights of the final particles, or None above
-    ``KDE_MAX_DIM`` state dimensions."""
-
-    ensemble: Ensemble
-    iterations: int
-    grad_norm_trace: list[float]
-    neff_trace: list[float]
-    report: WeightReport | None
-
-
 def _pairwise_pass(kernel: GaussianKernel, prior: PriorMixture, states: np.ndarray):
     """The O(N_p^2) quantities at one set of positions: the kernel Gram
     matrix and the mixture evaluation (weighted centers, log density)."""
@@ -240,21 +231,27 @@ def _aborts_at(cycle: int | None, iteration: int):
 
 def mapping_cycle(
     ssm: StateSpaceModel,
-    prior: PriorMixture,
-    forecast: Ensemble,
+    centers: np.ndarray,
+    states: np.ndarray,
     y: np.ndarray,
     kernel: GaussianKernel,
     cfg: MappingConfig,
     cycle: int | None = None,
     diag_sink=None,
-) -> MappingResult:
-    """Transport the forecast ensemble toward the sequential posterior.
+) -> tuple[Ensemble, CycleDiag]:
+    """Transport the forecast ``states`` toward the sequential posterior
+    whose prior is the equal-weight mixture on the model-transition
+    ``centers``.
 
     The prior mixture stays frozen for the whole cycle; all particles are
     updated from the previous-iteration snapshot.  ``diag_sink``, when
     given, receives ``(iteration, mean_grad_norm, neff_or_nan)`` tuples.
+    The ``CycleDiag`` carries the iteration count, the first and last mean
+    gradient norms and, up to ``KDE_MAX_DIM`` state dimensions, the KDE
+    weight report of the final particles.
     """
-    states = forecast.states.copy()
+    prior = PriorMixture(centers, ssm.q)
+    states = np.array(states, dtype=float)
     n_p, n_x = states.shape
     y = np.asarray(y, dtype=float)
     if y.shape != (ssm.obs_matrix.shape[0],):
@@ -303,10 +300,10 @@ def mapping_cycle(
         with _aborts_at(cycle, iterations):
             pairs = _pairwise_pass(kernel, prior, states)
             report = _kde_report(ssm, prior, kernel, states, y, pairs)
-    return MappingResult(
-        ensemble=Ensemble.equal_weight(states),
-        iterations=iterations,
-        grad_norm_trace=grad_norms,
-        neff_trace=neffs,
-        report=report,
-    )
+    diag = CycleDiag(map_iterations=iterations, grad_norm_initial=grad_norms[0],
+                     grad_norm_final=grad_norms[-1])
+    if report is not None:
+        diag.neff = report.n_eff
+        diag.kl_from_weights = report.kl_from_weights
+        diag.weight_variance = weight_variance(report.weights)
+    return Ensemble.equal_weight(states), diag

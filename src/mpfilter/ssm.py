@@ -9,8 +9,8 @@ responsibility-weighted center, and the importance report the mixture's
 log density.  :meth:`PriorMixture.evaluate` gives both from one
 max-shifted softmax (at 40 dimensions the raw exponentials underflow) and
 two matrix products, once per set of particle positions: the scores
-``[z_x, 1] @ [Z_c, log w - h_c]^T`` of the whitened particles against the
-whitened centers, and the exponentiated scores times ``[C, 1]``, the
+``[z_x, 1] @ [Z_c, log(1/N_c) - h_c]^T`` of the whitened particles against
+the whitened centers, and the exponentiated scores times ``[C, 1]``, the
 unnormalized weighted center sum and its normalizer together.  The
 responsibilities themselves are never formed.  The centers are frozen for
 the cycle, so the mixture builds both center matrices once, when it is
@@ -21,7 +21,7 @@ built.  The log-posterior value itself is a test oracle, in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,31 +78,23 @@ class StateSpaceModel:
 
 @dataclass
 class PriorMixture:
-    """Gaussian mixture prior: centers M(x_{k-1}^{(m)}), shared covariance Q."""
+    """Equal-weight Gaussian mixture prior: centers M(x_{k-1}^{(m)}),
+    shared covariance Q."""
 
     centers: np.ndarray
     q: Covariance
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        n_p = self.centers.shape[0]
-        if self.weights is None:
-            self.weights = np.full(n_p, 1.0 / n_p)
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (n_p,) or np.any(w < 0.0):
-                raise ContractViolation("mixture weights must be a probability vector")
-            self.weights = w / w.sum()
-        # the centers are frozen for the cycle: their scores [Z_c, log w - h_c]
-        # (log 0 is -inf) and their sum operand [C, 1] are built once
+        # the centers are frozen for the cycle: their scores
+        # [Z_c, log(1/N_c) - h_c] and their sum operand [C, 1] are built once
         n_c, n_x = self.centers.shape
         self._mean = self.centers.mean(axis=0)
         self._scores = np.empty((n_c, n_x + 1))
         self._sums = np.empty((n_c, n_x + 1))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             h = self.q.whiten(self.centers, self._mean, self._scores[:, :n_x])
-            np.subtract(np.log(self.weights), h, out=self._scores[:, n_x])
+            np.subtract(np.log(1.0 / n_c), h, out=self._scores[:, n_x])
         self._h_max = h.max()
         self._sums[:, :n_x] = self.centers
         self._sums[:, n_x] = 1.0
@@ -112,8 +104,8 @@ class PriorMixture:
         responsibility-weighted centers ``(p @ C) / s`` (N_x, n_x) and the
         unnormalized log density ``log(s) + top - h_x`` (N_x,).
 
-        ``e = [z_x, 1] @ [Z_c, log w - h_c]^T`` is the log-psi
-        ``log w_m - 1/2 |z_x - z_c|^2`` plus the particle's own half norm
+        ``e = [z_x, 1] @ [Z_c, log(1/N_c) - h_c]^T`` is the log-psi
+        ``log(1/N_c) - 1/2 |z_x - z_c|^2`` plus the particle's own half norm
         ``h_x``, which cancels in the softmax; ``p = exp(e - top)`` with
         ``top`` the row maximum, and ``s`` its row sums come from the same
         product as ``p @ C``.  A component that overflows is ``-inf``; a row
@@ -128,8 +120,8 @@ class PriorMixture:
             a[:, n_x] = 1.0
             e = a @ self._scores.T
             # |z_x . z_c| <= h_x + h_c (Cauchy-Schwarz), so while this bound
-            # (with room for rounding) is finite no score overflows, and a
-            # positive weight keeps every row's maximum finite
+            # (with room for rounding) is finite no score overflows, so
+            # every row's maximum is finite
             far = not math.isfinite(4.0 * (h.max() + self._h_max))
             if far:
                 np.nan_to_num(e, copy=False, nan=-np.inf, posinf=-np.inf, neginf=-np.inf)

@@ -157,10 +157,8 @@ def gram_matrix(bandwidth, states, pairwise=allocating_form):
 
 
 def mixture_log_psi(prior, x, pairwise=allocating_form):
-    """``log w_m - 1/2 ||x - c_m||^2_Q`` for every row of ``x``."""
-    with np.errstate(divide="ignore"):  # a zero weight is -inf
-        log_weights = np.log(prior.weights)
-    return log_weights - 0.5 * pairwise(prior.q, x, prior.centers)
+    """``log(1/N_c) - 1/2 ||x - c_m||^2_Q`` for every row of ``x``."""
+    return np.log(1.0 / len(prior.centers)) - 0.5 * pairwise(prior.q, x, prior.centers)
 
 
 def mixture_evaluate(prior, x, pairwise=allocating_form):

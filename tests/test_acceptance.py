@@ -19,7 +19,7 @@ def _expose_capture_manager(request):
     _CAPTURE_MANAGER = request.config.pluginmanager.getplugin("capturemanager")
     yield
 
-from mpfilter.core import Covariance, Ensemble
+from mpfilter.core import Covariance
 from mpfilter.config import load_preset
 from mpfilter.diagnostics import effective_sample_size, kl_from_weights
 from mpfilter.experiment import build_setup, run_twin_experiment
@@ -238,19 +238,18 @@ def test_criterion_8_gaussian_sanity():
     rng = np.random.default_rng(3)
     q, r, y = 1.0, 1.0, 1.0
     prior_center = np.zeros((50, 1))
-    prior = PriorMixture(prior_center, Covariance.diagonal([q]))
     ssm = StateSpaceModel(
         dynamics=Lorenz63(), obs_matrix=np.eye(1),
         q=Covariance.diagonal([q]), r=Covariance.diagonal([r]), cycle_steps=1)
     kernel = GaussianKernel.from_model_error(ssm.q, 1.0)
-    forecast = Ensemble.equal_weight(rng.standard_normal((50, 1)))
+    forecast = rng.standard_normal((50, 1))
     cfg = MappingConfig(optimizer="adadelta", learning_rate=0.03,
                         criterion="max_iter", max_iterations=200)
-    result = mapping_cycle(ssm, prior, forecast, np.array([y]), kernel, cfg)
+    analysis, _ = mapping_cycle(ssm, prior_center, forecast, np.array([y]), kernel, cfg)
     post_mean = q * y / (q + r)
     post_var = q * r / (q + r)
-    m = float(result.ensemble.states.mean())
-    v = float(result.ensemble.states.var())
+    m = float(analysis.states.mean())
+    v = float(analysis.states.var())
     moments_ok = (abs(m - post_mean) <= 0.10 * abs(post_mean)
                   and abs(v - post_var) <= 0.15 * post_var)
 

@@ -345,17 +345,6 @@ class TestRunTwinExperiment:
         assert header == "cycle,iteration,mean_grad_norm,neff"
         assert len(rows) >= 4  # at least one mapping iteration per cycle
 
-    def test_carry_weights(self):
-        # the mapping's report weights become the next cycle's mixture
-        # weights: cycle 0 starts from equal weights either way
-        cfg = loads(SMALL.replace("cycles = 4", "cycles = 2"))
-        off = [r.rmse for r in run_twin_experiment(cfg).records]
-        cfg.mpf_carry_weights = True
-        on = [r.rmse for r in run_twin_experiment(cfg).records]
-        assert on == [r.rmse for r in run_twin_experiment(cfg).records]
-        assert on[0] == off[0]
-        assert on[1] != off[1]
-
     def test_neff_column_bounded(self):
         cfg = loads(SMALL)
         res = run_twin_experiment(cfg)
@@ -555,6 +544,12 @@ class TestCliCommands:
         pytest.param(SMALL + "mpf.neff_threshold = 1.5\n", "mpf.neff_threshold",
                      id="neff_threshold"),
         pytest.param(SMALL + "kernel.alpha = 0\n", "kernel.alpha", id="kernel-alpha"),
+        pytest.param(SMALL + "r_variance = 1e-320\n", "r_variance", id="r-variance-tiny"),
+        pytest.param(SMALL.replace("diag:0.2", "diag:1e-320"), "q_spec", id="q-spec-tiny"),
+        pytest.param(SMALL + "kernel.alpha = 1e-320\n", "kernel.alpha",
+                     id="kernel-alpha-tiny"),
+        pytest.param(SMALL.replace("diag:0.2", "diag:1e10") + "kernel.alpha = 1e300\n",
+                     "kernel.alpha", id="kernel-alpha-overflow"),
         pytest.param("model = lorenz96\nseed = 1\nmpf.criterion = neff\n",
                      "limited to 10 state dimensions (got 40)", id="kde-limit"),
         pytest.param("model = lorenz96\nseed = 1\ndt = 0.2\nspinup_steps = 2000\n",
@@ -562,13 +557,15 @@ class TestCliCommands:
     ])
     def test_check_rejects_what_run_rejects(self, tmp_path, capsys, text, key):
         # every config run would refuse before its first cycle is refused
-        # by check, which builds the same setup, and run refuses it with
-        # one line, not a traceback
+        # by check, which builds the same setup, with no warning, and run
+        # refuses it with one line, not a traceback
         with open(default_cholera_params_path(), encoding="utf-8") as f:
             (tmp_path / "params.cfg").write_text(f.read() + "foo = 1\n")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
-        assert main(["check", str(cfg)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(cfg)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("invalid: ") and key in err[0]
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1

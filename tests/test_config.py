@@ -67,6 +67,9 @@ class TestLoads:
     def test_unknown_key_with_hint(self):
         with pytest.raises(ConfigError, match="kernel.alpha"):
             loads(MINIMAL + "alpha_bandwith = 2\n")
+        # a key the program no longer reads is unknown too
+        with pytest.raises(ConfigError, match="unknown key 'mpf.carry_weights'"):
+            loads(MINIMAL + "mpf.carry_weights = true\n")
 
     def test_bad_type(self):
         with pytest.raises(ConfigError, match="not a valid int"):
@@ -179,7 +182,6 @@ mpf.grad_ratio_threshold = 0.2
 mpf.adadelta_rho = 0.9
 mpf.adam_beta1 = 0.8
 mpf.adam_beta2 = 0.99
-mpf.carry_weights = true
 sir.resample_threshold = 0.3
 sir.resampler = multinomial
 lorenz96.n_vars = 12

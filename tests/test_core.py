@@ -241,10 +241,7 @@ class TestFoldAgainstOracles:
         rng = np.random.default_rng(n_p * n_x)
         q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
         kernel = GaussianKernel.from_model_error(q, float(rng.uniform(0.5, 20.0)))
-        weights = rng.uniform(0.1, 1.0, size=n_p)
-        weights[rng.random(n_p) < 0.3] = 0.0
-        weights[0] = 1.0
-        prior = PriorMixture(3.0 * rng.standard_normal((n_p, n_x)), q, weights=weights)
+        prior = PriorMixture(3.0 * rng.standard_normal((n_p, n_x)), q)
         states = 3.0 * rng.standard_normal((n_p, n_x))
         states[[1, 3]] *= scale
         gram = kernel.interactions(states)
@@ -283,10 +280,12 @@ class TestFoldAgainstOracles:
         np.testing.assert_array_equal(GaussianKernel(q).interactions(states),
                                       gram_matrix(q, states))
         # Then subnormal squared norms, within about 1e-154 of the mean,
-        # where halving rounds: on a center 4e-162 from the mean the log
-        # density reads one subnormal unit below the exact 0
+        # where halving rounds: on a center 4e-162 from the mean, between
+        # two centers, the exact log density is log((1 + exp(-2 c^2)) / 2),
+        # about -c^2 = -1.6e-323; the fold reads -1e-323 and the oracle,
+        # whose exp(-2 c^2) rounds to 1, reads 0
         c = 4e-162
-        prior = PriorMixture(np.array([[c], [-c]]), q, weights=np.array([1.0, 0.0]))
+        prior = PriorMixture(np.array([[c], [-c]]), q)
         x = np.array([[c]])
         assert mixture_evaluate(prior, x)[1][0] == 0.0
-        assert prior.evaluate(x)[1][0] == -5e-324
+        assert prior.evaluate(x)[1][0] == -1e-323

@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 
 from mpfilter.config import load_preset
-from mpfilter.core import ContractViolation, Covariance, Ensemble
-from mpfilter.diagnostics import KDE_MAX_DIM, importance_report, kde_log_proposal
+from mpfilter.core import ContractViolation, Covariance
+from mpfilter.diagnostics import (
+    KDE_MAX_DIM,
+    importance_report,
+    kde_log_proposal,
+    weight_variance,
+)
 from mpfilter.experiment import run_twin_experiment
 from mpfilter.kernels import GaussianKernel
 from mpfilter.models import Lorenz63
@@ -230,12 +235,10 @@ class TestOptimizers:
                               r=Covariance.diagonal([40.0 / 1e308]),
                               cycle_steps=1)
         states = np.array([[0.0], [40.0], [40.1]])
-        prior = PriorMixture(states.copy(), ssm.q)
         cfg = MappingConfig(optimizer="sgd", criterion="max_iter")
         with np.errstate(over="ignore"), \
                 pytest.raises(NonFiniteGradientError) as err:
-            mapping_cycle(ssm, prior, Ensemble.equal_weight(states),
-                          np.array([0.0]), kernel_1d(), cfg, cycle=4)
+            mapping_cycle(ssm, states, states, np.array([0.0]), kernel_1d(), cfg, cycle=4)
         assert err.value.particle == 1
         assert err.value.iteration == 0
         assert err.value.cycle == 4
@@ -291,12 +294,11 @@ class TestMappingCycle:
     def test_single_particle_converges_to_posterior_mode(self):
         ssm = gaussian_ssm_1d()
         kernel = GaussianKernel.from_model_error(ssm.q, 1.0)
-        prior = PriorMixture(np.array([[0.0]]), ssm.q)
-        forecast = Ensemble.equal_weight(np.array([[0.0]]))
         cfg = MappingConfig(optimizer="sgd", learning_rate=0.1,
                             max_iterations=200, criterion="max_iter")
-        result = mapping_cycle(ssm, prior, forecast, np.array([2.0]), kernel, cfg)
-        assert result.ensemble.states[0, 0] == pytest.approx(1.0, abs=1e-4)
+        analysis, _ = mapping_cycle(ssm, np.array([[0.0]]), np.array([[0.0]]),
+                                    np.array([2.0]), kernel, cfg)
+        assert analysis.states[0, 0] == pytest.approx(1.0, abs=1e-4)
 
     def test_gaussian_ensemble_moments(self):
         # 50 particles on a 1-D Gaussian posterior: mean within 10%,
@@ -305,13 +307,13 @@ class TestMappingCycle:
         ssm = gaussian_ssm_1d(q=1.0, r=1.0)
         kernel = GaussianKernel.from_model_error(ssm.q, 1.0)
         center, y = 0.0, 2.0
-        prior = PriorMixture(np.full((50, 1), center), ssm.q)
-        forecast = Ensemble.equal_weight(center + rng.standard_normal((50, 1)))
+        forecast = center + rng.standard_normal((50, 1))
         cfg = MappingConfig(optimizer="adadelta", learning_rate=0.03,
                             max_iterations=200, criterion="max_iter")
-        result = mapping_cycle(ssm, prior, forecast, np.array([y]), kernel, cfg)
+        analysis, _ = mapping_cycle(ssm, np.full((50, 1), center), forecast,
+                                    np.array([y]), kernel, cfg)
         post_mean, post_var = 1.0, 0.5
-        states = result.ensemble.states[:, 0]
+        states = analysis.states[:, 0]
         assert abs(states.mean() - post_mean) / post_mean < 0.10
         assert abs(states.var() - post_var) / post_var < 0.15
 
@@ -319,35 +321,36 @@ class TestMappingCycle:
         rng = np.random.default_rng(4)
         ssm = gaussian_ssm_1d()
         kernel = GaussianKernel.from_model_error(ssm.q, 1.0)
-        prior = PriorMixture(np.zeros((30, 1)), ssm.q)
-        forecast = Ensemble.equal_weight(rng.standard_normal((30, 1)))
+        forecast = rng.standard_normal((30, 1))
         cfg = MappingConfig(optimizer="sgd", learning_rate=0.05,
                             max_iterations=500, criterion="max_iter")
-        result = mapping_cycle(ssm, prior, forecast, np.array([2.0]), kernel, cfg)
-        assert result.grad_norm_trace[-1] < 1e-3 * result.grad_norm_trace[0]
+        _, diag = mapping_cycle(ssm, np.zeros((30, 1)), forecast, np.array([2.0]),
+                                kernel, cfg)
+        assert diag.grad_norm_final < 1e-3 * diag.grad_norm_initial
 
     def test_neff_criterion_stops_early(self):
         rng = np.random.default_rng(5)
         ssm = gaussian_ssm_1d()
         kernel = GaussianKernel.from_model_error(ssm.q, 1.0)
-        prior = PriorMixture(np.zeros((20, 1)), ssm.q)
-        forecast = Ensemble.equal_weight(rng.standard_normal((20, 1)))
+        forecast = rng.standard_normal((20, 1))
         cfg = MappingConfig(optimizer="adadelta", criterion="neff",
                             max_iterations=100)
-        result = mapping_cycle(ssm, prior, forecast, np.array([0.5]), kernel, cfg)
-        assert result.iterations < 100
-        assert result.neff_trace[-1] >= 18.0
+        trace = []
+        _, diag = mapping_cycle(ssm, np.zeros((20, 1)), forecast, np.array([0.5]),
+                                kernel, cfg, diag_sink=lambda *row: trace.append(row))
+        assert diag.map_iterations == len(trace) < 100
+        # the closing report is the last iteration's
+        assert diag.neff == trace[-1][2] >= 18.0
 
     def test_output_equal_weight(self):
         rng = np.random.default_rng(6)
         ssm = gaussian_ssm_1d()
         kernel = GaussianKernel.from_model_error(ssm.q, 1.0)
-        prior = PriorMixture(np.zeros((5, 1)), ssm.q)
-        forecast = Ensemble.equal_weight(rng.standard_normal((5, 1)))
-        result = mapping_cycle(ssm, prior, forecast, np.array([1.0]), kernel,
-                               MappingConfig(criterion="max_iter",
-                                             max_iterations=5))
-        assert np.all(result.ensemble.weights == 1.0 / 5.0)
+        forecast = rng.standard_normal((5, 1))
+        analysis, _ = mapping_cycle(ssm, np.zeros((5, 1)), forecast, np.array([1.0]),
+                                    kernel, MappingConfig(criterion="max_iter",
+                                                          max_iterations=5))
+        assert np.all(analysis.weights == 1.0 / 5.0)
 
 
 def lorenz_like_cycle(n_x, n_p=20, seed=11):
@@ -358,18 +361,18 @@ def lorenz_like_cycle(n_x, n_p=20, seed=11):
                           r=Covariance.isotropic(0.5, n_x), cycle_steps=1)
     truth = rng.standard_normal(n_x)
     centers = truth + rng.standard_normal((n_p, n_x))
-    prior = PriorMixture(centers, q)
-    forecast = Ensemble.equal_weight(centers + q.sample(rng, size=n_p))
+    states = centers + q.sample(rng, size=n_p)
     y = truth + rng.standard_normal(n_x) * np.sqrt(0.5)
-    return ssm, prior, forecast, y, GaussianKernel.from_model_error(q, 1.0)
+    return ssm, centers, states, y, GaussianKernel.from_model_error(q, 1.0)
 
 
-def unfused_mapping(ssm, prior, forecast, y, kernel, cfg):
+def unfused_mapping(ssm, centers, states, y, kernel, cfg):
     """The mapping loop with each consumer building its own pairwise pass:
     the gradient from ``log_posterior_grad`` and ``interactions``, then the
     neff rule and the closing report from ``kde_log_proposal`` and
     ``importance_report``."""
-    states = forecast.states.copy()
+    prior = PriorMixture(centers, ssm.q)
+    states = states.copy()
     n_p, n_x = states.shape
     opt = make_optimizer(cfg, states.shape)
     grad_norms, neffs = [], []
@@ -396,31 +399,42 @@ class TestSharedPairwisePass:
     @pytest.mark.parametrize("optimizer", ["sgd", "adadelta", "adam"])
     @pytest.mark.parametrize("criterion", ["neff", "grad_ratio", "max_iter"])
     def test_matches_unfused_mapping(self, criterion, optimizer):
-        ssm, prior, forecast, y, kernel = lorenz_like_cycle(3)
+        ssm, centers, forecast, y, kernel = lorenz_like_cycle(3)
         # the neff rule fires for every optimizer, grad_ratio for adadelta
         cfg = MappingConfig(optimizer=optimizer, criterion=criterion,
                             learning_rate=0.2, neff_threshold=14.0,
                             max_iterations=40)
-        result = mapping_cycle(ssm, prior, forecast, y, kernel, cfg)
+        trace = []
+        analysis, diag = mapping_cycle(ssm, centers, forecast, y, kernel, cfg,
+                                       diag_sink=lambda *row: trace.append(row))
         states, grad_norms, neffs, report = unfused_mapping(
-            ssm, prior, forecast, y, kernel, cfg)
-        assert result.iterations == len(grad_norms) >= 2
-        np.testing.assert_array_equal(result.ensemble.states, states)
-        np.testing.assert_array_equal(result.grad_norm_trace, grad_norms)
-        np.testing.assert_array_equal(result.neff_trace, neffs)
-        np.testing.assert_array_equal(result.report.weights, report.weights)
-        assert result.report.n_eff == report.n_eff
-        assert result.report.kl_from_weights == report.kl_from_weights
+            ssm, centers, forecast, y, kernel, cfg)
+        assert diag.map_iterations == len(grad_norms) >= 2
+        np.testing.assert_array_equal(analysis.states, states)
+        assert [row[0] for row in trace] == list(range(1, len(grad_norms) + 1))
+        assert [row[1] for row in trace] == grad_norms
+        assert (diag.grad_norm_initial, diag.grad_norm_final) == (
+            grad_norms[0], grad_norms[-1])
+        if criterion == "neff":
+            assert [row[2] for row in trace] == neffs
+        else:
+            assert neffs == [] and np.isnan([row[2] for row in trace]).all()
+        assert diag.neff == report.n_eff
+        assert diag.kl_from_weights == report.kl_from_weights
+        assert diag.weight_variance == weight_variance(report.weights)
 
     def test_no_report_above_kde_limit(self):
-        ssm, prior, forecast, y, kernel = lorenz_like_cycle(KDE_MAX_DIM + 2)
+        ssm, centers, forecast, y, kernel = lorenz_like_cycle(KDE_MAX_DIM + 2)
         cfg = MappingConfig(criterion="grad_ratio", max_iterations=10)
-        result = mapping_cycle(ssm, prior, forecast, y, kernel, cfg)
+        trace = []
+        analysis, diag = mapping_cycle(ssm, centers, forecast, y, kernel, cfg,
+                                       diag_sink=lambda *row: trace.append(row))
         states, grad_norms, _, report = unfused_mapping(
-            ssm, prior, forecast, y, kernel, cfg)
-        np.testing.assert_array_equal(result.ensemble.states, states)
-        np.testing.assert_array_equal(result.grad_norm_trace, grad_norms)
-        assert result.report is None and report is None
+            ssm, centers, forecast, y, kernel, cfg)
+        np.testing.assert_array_equal(analysis.states, states)
+        assert [row[1] for row in trace] == grad_norms
+        assert report is None
+        assert np.isnan([diag.neff, diag.kl_from_weights, diag.weight_variance]).all()
 
     @pytest.mark.parametrize("criterion,n_x,closing_passes", [
         ("neff", 3, 1),
@@ -449,12 +463,12 @@ class TestSharedPairwisePass:
         counted(GaussianKernel, "interactions")
         counted(Covariance, "whiten")
         counted(PriorMixture, "evaluate")
-        ssm, prior, forecast, y, kernel = lorenz_like_cycle(n_x)
+        ssm, centers, forecast, y, kernel = lorenz_like_cycle(n_x)
         cfg = MappingConfig(criterion=criterion, learning_rate=0.2,
                             neff_threshold=14.0, max_iterations=40)
-        result = mapping_cycle(ssm, prior, forecast, y, kernel, cfg)
-        assert result.iterations >= 2
-        expected = result.iterations + closing_passes
+        _, diag = mapping_cycle(ssm, centers, forecast, y, kernel, cfg)
+        assert diag.map_iterations >= 2
+        expected = diag.map_iterations + closing_passes
         assert calls == {"interactions": expected, "whiten": 2 * expected + 1,
                          "evaluate": expected}
 
@@ -496,9 +510,9 @@ def test_abort_keeps_the_error(monkeypatch):
         raise TwoArgError(3, 1)
 
     monkeypatch.setattr(mpf, "kl_gradient_field", fail)
-    ssm, prior, forecast, y, kernel = lorenz_like_cycle(3)
+    ssm, centers, forecast, y, kernel = lorenz_like_cycle(3)
     with pytest.raises(TwoArgError) as err:
-        mapping_cycle(ssm, prior, forecast, y, kernel, MappingConfig(), cycle=7)
+        mapping_cycle(ssm, centers, forecast, y, kernel, MappingConfig(), cycle=7)
     assert type(err.value) is TwoArgError
     assert (err.value.particle, err.value.iteration) == (3, 1)
     assert str(err.value) == (

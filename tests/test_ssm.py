@@ -112,14 +112,6 @@ class TestPriorMixture:
             [np.exp(-0.5 * q.quadratic_form(x - c)) for c in centers]))
         assert prior.evaluate(x[None])[1][0] == pytest.approx(direct, rel=1e-12)
 
-    def test_weight_renormalization_invariance(self):
-        centers = np.array([[0.0], [2.0]])
-        q = Covariance.diagonal([1.0])
-        a = PriorMixture(centers, q, weights=np.array([0.25, 0.75]))
-        b = PriorMixture(centers, q, weights=np.array([1.0, 3.0]))
-        x = np.array([[0.7]])
-        assert a.evaluate(x)[1][0] == pytest.approx(b.evaluate(x)[1][0], rel=1e-14)
-
     def test_high_dimension_no_underflow(self):
         # raw exponentials underflow at 40 dimensions; log-sum-exp must not
         rng = np.random.default_rng(5)
@@ -135,8 +127,7 @@ class TestPriorMixture:
         # reorders the sums: they agree to rounding of the whitened norms
         rng = np.random.default_rng(n_x_pts + n_c + n_x)
         q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
-        prior = PriorMixture(3.0 * rng.standard_normal((n_c, n_x)), q,
-                             weights=rng.uniform(0.1, 1.0, size=n_c))
+        prior = PriorMixture(3.0 * rng.standard_normal((n_c, n_x)), q)
         x = 3.0 * rng.standard_normal((n_x_pts, n_x))
         assert_mixture_close(prior, x, mixture_evaluate(prior, x, difference_tensor_form))
 
@@ -161,13 +152,10 @@ class TestPriorMixture:
     def test_evaluate_matches_logsumexp_and_softmax(self, n_x_pts, n_c):
         # one shared exponential against the two separate evaluations, with
         # components spanning beyond exp's underflow (centers hundreds of
-        # whitened units apart) and zero-weight (-inf) components
+        # whitened units apart), which contribute nothing
         rng = np.random.default_rng(n_x_pts + n_c)
         q = Covariance.diagonal([0.05, 0.2])
-        weights = rng.uniform(0.1, 1.0, size=n_c)
-        weights[rng.random(n_c) < 0.2] = 0.0
-        weights[rng.integers(n_c)] = 1.0
-        prior = PriorMixture(10.0 * rng.standard_normal((n_c, 2)), q, weights=weights)
+        prior = PriorMixture(10.0 * rng.standard_normal((n_c, 2)), q)
         x = 10.0 * rng.standard_normal((n_x_pts, 2))
         log_psi = mixture_log_psi(prior, x)
         assert n_c == 1 or np.any(log_psi - log_psi.max(axis=1, keepdims=True) < -745.0)
@@ -207,30 +195,23 @@ class TestPriorMixture:
     def test_in_place_matches_allocating_form(self, n_pts, n_x):
         # the scores' product reorders the allocating form's sums: the two
         # agree to rounding of the whitened norms, with rows near 1e200
-        # (log density -inf) and zero-weight components; a zero-weight
-        # component contributes nothing, so a mixture with one positive
-        # weight gives exactly that center
+        # (log density -inf); a component whose exponent underflows
+        # contributes nothing, so a mixture whose other centers all lie
+        # 1000 units off in every coordinate gives exactly the near center
         rng = np.random.default_rng(n_pts + n_x)
         q = Covariance.diagonal(rng.uniform(0.2, 2.0, size=n_x))
-        weights = rng.uniform(0.1, 1.0, size=n_pts)
-        weights[rng.random(n_pts) < 0.3] = 0.0
         centers = 3.0 * rng.standard_normal((n_pts, n_x))
-        prior = PriorMixture(centers, q, weights=weights)
+        prior = PriorMixture(centers, q)
         x = 3.0 * rng.standard_normal((n_pts, n_x))
         x[[1, 3]] *= 1e200
         _, log_density = assert_mixture_close(prior, x, mixture_evaluate(prior, x))
         assert log_density[1] == log_density[3] == -np.inf
         one = rng.integers(n_pts)
-        single = PriorMixture(centers, q, weights=(np.arange(n_pts) == one).astype(float))
-        centers_bar, log_density = single.evaluate(x)
+        far = centers + 1e3 * (np.arange(n_pts) != one)[:, None]
+        centers_bar, log_density = PriorMixture(far, q).evaluate(x)
         ok = np.isfinite(log_density)
         assert ok.sum() == n_pts - 2
-        np.testing.assert_array_equal(centers_bar[ok], np.broadcast_to(centers[one], (ok.sum(), n_x)))
-
-    def test_bad_weights(self):
-        with pytest.raises(ContractViolation):
-            PriorMixture(np.zeros((2, 1)), Covariance.diagonal([1.0]),
-                         weights=np.array([-1.0, 2.0]))
+        np.testing.assert_array_equal(centers_bar[ok], np.broadcast_to(far[one], (ok.sum(), n_x)))
 
 
 class TestLogPosteriorGrad:
@@ -305,12 +286,3 @@ class TestLogPosteriorUnnormalized:
         c = np.array([1.0, -1.0])
         prior = PriorMixture(c[None], ssm.q)
         assert log_posterior_unnormalized(ssm, prior, c, ssm.observe(c)) == 0.0
-
-    def test_weight_scaling_invariance(self):
-        ssm = make_ssm(n_x=1)
-        centers = np.array([[0.0], [1.0]])
-        a = PriorMixture(centers, ssm.q, weights=np.array([0.3, 0.7]))
-        b = PriorMixture(centers, ssm.q, weights=np.array([0.6, 1.4]))
-        x, y = np.array([0.5]), np.array([0.2])
-        assert log_posterior_unnormalized(ssm, a, x, y) == pytest.approx(
-            log_posterior_unnormalized(ssm, b, x, y), rel=1e-14)

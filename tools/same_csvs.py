@@ -8,9 +8,10 @@ Each tree is a checkout with the package under ``src/``.  Every preset that
 interpreter with that tree's ``src`` on ``PYTHONPATH``, at the preset's own
 cycle count or at ``--cycles N``.  The files a run writes are then
 compared: a CSV field by field outside the ``*_ms`` columns (wall-clock
-timings), every other file (``_resolved.cfg``) byte for byte.  A run that
-fails must fail alike in both trees.  The exit status is 1 if any preset
-differs, else 0.
+timings), every other file (``_resolved.cfg``) byte for byte, reported by
+the first line a diff removes or adds and the count of the others.  A run
+that fails must fail alike in both trees.  The exit status is 1 if any
+preset differs, else 0.
 
 This is the check for a change that should not move any result bit; it is
 not part of the test suite.
@@ -19,6 +20,7 @@ not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import difflib
 import os
 import subprocess
 import sys
@@ -80,6 +82,22 @@ def csv_difference(a: Path, b: Path) -> str:
     return ""
 
 
+def text_difference(a: Path, b: Path) -> str:
+    """First line a diff of two text files removes or adds, and how many
+    other lines it changes, or ''."""
+    text_a, text_b = a.read_bytes(), b.read_bytes()
+    if text_a == text_b:
+        return ""
+    diff = difflib.unified_diff(text_a.decode().splitlines(), text_b.decode().splitlines(),
+                                lineterm="", n=0)
+    changed = [line for line in diff
+               if line[:1] in "-+" and not line.startswith(("---", "+++"))]
+    if not changed:
+        return "bytes differ"
+    more = f" (and {len(changed) - 1} more changed lines)" if len(changed) > 1 else ""
+    return f"{changed[0]!r}{more}"
+
+
 def compare(out_a: Path, out_b: Path) -> list[str]:
     names_a = sorted(p.name for p in out_a.iterdir())
     names_b = sorted(p.name for p in out_b.iterdir())
@@ -88,10 +106,7 @@ def compare(out_a: Path, out_b: Path) -> list[str]:
     problems = []
     for fname in names_a:
         a, b = out_a / fname, out_b / fname
-        if fname.endswith(".csv"):
-            diff = csv_difference(a, b)
-        else:
-            diff = "" if a.read_bytes() == b.read_bytes() else "bytes differ"
+        diff = (csv_difference if fname.endswith(".csv") else text_difference)(a, b)
         if diff:
             problems.append(f"{fname}: {diff}")
     return problems
