@@ -6,6 +6,11 @@ Euler-Maruyama.  Every model advances a whole ``(N_p, n_x)`` ensemble over
 one assimilation window with ``forecast(states, t0, steps, rngs)``, where
 particle ``j`` draws any model noise from ``rngs[j]``, and generates one
 window of a twin experiment's truth and observation with ``twin_window``.
+Callers pass and get states as ``(..., n_x)``; inside a window the
+integrators store them by component, ``(n_x, ...)``, so each arithmetic
+op of a drift or a step runs on contiguous rows: ``_integrate`` transposes
+an ODE batch once per window, as ``CholeraModel.forecast`` does for
+``_em_step``, and the drifts take components on the first axis.
 Each model owns its setup too: ``start``, ``initial_ensemble``, the
 ``observation_matrix`` of each of its ``obs_operators``, and its ``q_kinds``;
 the ODE models read their start and ``climatology`` from the shipped
@@ -67,7 +72,10 @@ class OdeModel:
 
     Subclasses define ``drift``, ``dt``, ``_integrate_start`` and
     ``obs_operators``, the rows of the identity each observation operator
-    keeps; states batch over leading axes.  An RK4 step adds an increment
+    keeps.  ``step``, ``forecast``, :func:`advance_window` and
+    :func:`free_run` take and return states ``(..., n_x)``, batched over
+    leading axes; ``drift`` takes them component-first, ``(n_x, ...)``, the
+    layout the integrator steps in.  An RK4 step adds an increment
     to the state, so a non-finite component of a Lorenz state stays
     non-finite through every later step: one finiteness check at the end
     of a window sees any blow-up inside it.
@@ -76,7 +84,7 @@ class OdeModel:
     q_kinds = ("diag", "climatological")
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        return rk4_step(self.drift, np.asarray(x, dtype=float), self.dt)
+        return rk4_step(self.drift, np.asarray(x, dtype=float).T, self.dt).T
 
     def forecast(self, states: np.ndarray, t0: float, steps: int, rngs) -> np.ndarray:
         """Advance a batch over one window; ``t0`` and ``rngs`` are unused."""
@@ -119,11 +127,11 @@ class Lorenz63(OdeModel):
     obs_operators = {"full": slice(None), "xonly": slice(1), "zonly": slice(2, 3)}
 
     def drift(self, x: np.ndarray) -> np.ndarray:
-        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        x1, x2, x3 = x[0], x[1], x[2]
         out = np.empty_like(x, dtype=float)
-        out[..., 0] = self.sigma * (x2 - x1)
-        out[..., 1] = x1 * (self.rho - x3) - x2
-        out[..., 2] = x1 * x2 - self.beta * x3
+        out[0] = self.sigma * (x2 - x1)
+        out[1] = x1 * (self.rho - x3) - x2
+        out[2] = x1 * x2 - self.beta * x3
         return out
 
     def _integrate_start(self, spinup_steps: int) -> np.ndarray:
@@ -156,9 +164,9 @@ class Lorenz96(OdeModel):
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         # (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F, cyclic: one gather through the ring
-        xp = x.take(self._ring, axis=-1)
-        out = xp[..., 3:] - xp[..., :-3]
-        out *= xp[..., 1:-2]
+        xp = x.take(self._ring, axis=0)
+        out = xp[3:] - xp[:-3]
+        out *= xp[1:-2]
         out -= x
         out += self.forcing
         return out
@@ -179,12 +187,14 @@ class Lorenz96(OdeModel):
 
 
 def _integrate(model, x: np.ndarray, steps: int, every: int = 0):
-    """``steps`` deterministic single steps from ``x``; returns the final
-    state and copies of the states after every ``every``-th step (none
-    when ``every`` is 0).  The window is checked for a blow-up once, at its
-    end (see :class:`OdeModel`); a non-finite end state is replayed step by
-    step to name the step that blew up."""
-    x0 = x = np.asarray(x, dtype=float)
+    """``steps`` deterministic single steps from ``x`` ``(..., n_x)``;
+    returns the final state and copies of the states after every
+    ``every``-th step (none when ``every`` is 0), all ``(..., n_x)``.  The
+    steps run on one contiguous component-first copy ``(n_x, ...)``.  The
+    window is checked for a blow-up once, at its end (see
+    :class:`OdeModel`); a non-finite end state is replayed step by step to
+    name the step that blew up."""
+    x0 = x = np.ascontiguousarray(np.asarray(x, dtype=float).T)
     drift, dt = model.drift, model.dt
     samples = []
     # an overflow shows as a non-finite state, reported as a blow-up
@@ -192,14 +202,14 @@ def _integrate(model, x: np.ndarray, steps: int, every: int = 0):
         for i in range(1, steps + 1):
             x = rk4_step(drift, x, dt)
             if every and i % every == 0:
-                samples.append(x.copy())
+                samples.append(x.T.copy())
         if not np.isfinite(x).all():
             x = x0
             for i in range(1, steps + 1):
                 x = rk4_step(drift, x, dt)
                 if not np.isfinite(x).all():
                     raise IntegrationBlowupError(model.name, i)
-    return x, samples
+    return np.ascontiguousarray(x.T), samples
 
 
 def advance_window(model, x: np.ndarray, steps: int) -> np.ndarray:

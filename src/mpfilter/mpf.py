@@ -48,13 +48,13 @@ CRITERIA = ("neff", "grad_ratio", "max_iter")
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A KL gradient turned non-finite during the mapping."""
+    """A KL gradient, or its norm, turned non-finite during the mapping."""
 
     def __init__(self, particle: int, iteration: int, cycle: int | None = None):
         ctx = f"particle {particle}, iteration {iteration}"
         if cycle is not None:
             ctx = f"cycle {cycle}, " + ctx
-        super().__init__(f"non-finite KL gradient at {ctx}")
+        super().__init__(f"non-finite KL gradient norm at {ctx}")
         self.particle = particle
         self.iteration = iteration
         self.cycle = cycle
@@ -272,11 +272,13 @@ def mapping_cycle(
             gram, mixture = pairs
             logp_grads = log_posterior_grad(ssm, prior, states, y, mixture=mixture)
             field_vals = kl_gradient_field(kernel, states, logp_grads, gram)
-        if not np.isfinite(field_vals).all():  # name the first bad particle
-            bad = int(np.argmin(np.isfinite(field_vals).all(axis=1)))
-            raise NonFiniteGradientError(bad, i, cycle)
-        # the mean row norm, with np.linalg.norm's and np.mean's arithmetic
-        norms = np.sqrt((field_vals * field_vals).sum(axis=1))
+        # the mean row norm, with np.linalg.norm's and np.mean's arithmetic;
+        # a row that is not finite or whose norm overflows stops the mapping
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((field_vals * field_vals).sum(axis=1))
+        finite = np.isfinite(norms)
+        if not finite.all():  # name the first bad particle
+            raise NonFiniteGradientError(int(np.argmin(finite)), i, cycle)
         grad_norms.append(float(norms.sum() / n_p))
 
         states += opt.step(field_vals)

@@ -21,6 +21,9 @@ finite differences:
   whitened squared norms (``gemm_tolerance``, ``mixture_tolerance``);
 * the Adadelta and Adam steps in their allocating form, whose bits the
   in-place optimizers must keep;
+* the Lorenz drifts on states stored by particle, ``(..., n_x)``, and the
+  RK4 window loop that stepped in that layout, whose bits the
+  component-first integration must keep;
 * the twin experiment's setup as the harness first wrote it, one branch per
   model name: the truth and initial ensemble (with the start-state table
   read it shares) and the observation operators, whose bits the models'
@@ -36,7 +39,7 @@ import numpy as np
 
 from mpfilter.config import ConfigError
 from mpfilter.core import Ensemble
-from mpfilter.models import advance_window, free_run
+from mpfilter.models import IntegrationBlowupError, advance_window, free_run
 from mpfilter.ssm import NumericalDegeneracyError, log_likelihood
 
 
@@ -201,6 +204,51 @@ def allocating_adam(learning_rate, b1, b2, eps, grads_seq):
         v_hat = v / (1.0 - b2**t)
         steps.append(-learning_rate * m_hat / (np.sqrt(v_hat) + eps))
     return steps
+
+
+def row_major_drift(model, x: np.ndarray) -> np.ndarray:
+    """The Lorenz-63 or Lorenz-96 drift of states ``(..., n_x)``."""
+    if model.name == "lorenz63":
+        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        out = np.empty_like(x, dtype=float)
+        out[..., 0] = model.sigma * (x2 - x1)
+        out[..., 1] = x1 * (model.rho - x3) - x2
+        out[..., 2] = x1 * x2 - model.beta * x3
+        return out
+    xp = x.take(np.arange(-2, model.n_x + 1) % model.n_x, axis=-1)
+    out = xp[..., 3:] - xp[..., :-3]
+    out *= xp[..., 1:-2]
+    out -= x
+    out += model.forcing
+    return out
+
+
+def row_major_window(model, x: np.ndarray, steps: int, every: int = 0):
+    """``steps`` RK4 steps of ``row_major_drift`` from ``x`` ``(..., n_x)``:
+    the final state and the states after every ``every``-th step.  A
+    non-finite end state is replayed to raise ``IntegrationBlowupError``
+    at the first step whose state is not finite."""
+    def step(x):
+        k1 = row_major_drift(model, x)
+        k2 = row_major_drift(model, x + 0.5 * model.dt * k1)
+        k3 = row_major_drift(model, x + 0.5 * model.dt * k2)
+        k4 = row_major_drift(model, x + model.dt * k3)
+        return x + (model.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    x0 = x = np.asarray(x, dtype=float)
+    samples = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            x = step(x)
+            if every and i % every == 0:
+                samples.append(x.copy())
+        if not np.isfinite(x).all():
+            x = x0
+            for i in range(1, steps + 1):
+                x = step(x)
+                if not np.isfinite(x).all():
+                    raise IntegrationBlowupError(model.name, i)
+    return x, samples
 
 
 def _table_key(model, entry: str) -> str:

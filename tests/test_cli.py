@@ -509,6 +509,20 @@ class TestCliCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: integration of lorenz96 blew up at step 8"]
 
+    def test_run_overflowing_gradient_norm_exits_cleanly(self, tmp_path, capsys):
+        # an R of 1e-300 passes every rule, but the first KL gradients are
+        # so large that their squared norms overflow: run stops at once,
+        # naming the cycle, the iteration and the first particle
+        cfg = tmp_path / "tiny_r.cfg"
+        cfg.write_text(SMALL.replace("cycles = 4", "cycles = 2") + "r_variance = 1e-300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(cfg)]) == 0
+            assert capsys.readouterr().out.strip() == "ok"
+            assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: non-finite KL gradient norm at cycle 0, particle 0, iteration 0"]
+
     @pytest.mark.parametrize("text,key", [
         pytest.param(SMALL + "mpf.optimizer = foo\n", "mpf.optimizer", id="optimizer"),
         pytest.param(SMALL + "mpf.learning_rate = -1\n", "mpf.learning_rate", id="lr"),

@@ -1,9 +1,12 @@
-"""The batched ensemble forecast against the per-particle loop it replaced.
+"""The batched ensemble forecast against the forms it replaced.
 
 The reference below advances one particle at a time, drawing the cholera
 noise one scalar per step with the original scalar Euler-Maruyama step;
 the batched forecast must reproduce its centers, noisy states, mortality
-increments, clamp counts and random-stream positions bit for bit.
+increments, clamp counts and random-stream positions bit for bit.  The
+Lorenz windows, which step stored by component, must also reproduce the
+RK4 loop on states stored by particle (``oracles.row_major_window``) bit
+for bit, blow-up step included.
 """
 
 from dataclasses import replace
@@ -15,13 +18,16 @@ from mpfilter.core import Covariance
 from mpfilter.experiment import default_cholera_params_path
 from mpfilter.models import (
     CholeraModel,
+    IntegrationBlowupError,
     Lorenz63,
     Lorenz96,
     advance_window,
+    free_run,
     load_cholera_params,
 )
 from mpfilter.rng import RandomStream
 from mpfilter.ssm import StateSpaceModel
+from oracles import row_major_window
 
 T0 = 7.3
 
@@ -130,3 +136,37 @@ def test_cholera_single_state_advance_matches_particle_loop():
         ssm, states, RandomStream(2).particle_streams(3), T0)
     assert np.array_equal(np.array([r[0] for r in rows]), ref_centers)
     assert np.array_equal(np.array([r[1] for r in rows]), ref_delta_c)
+
+
+LORENZ = [pytest.param(Lorenz63(), np.array([-5.9, -5.5, 24.6]), 1.0, id="lorenz63"),
+          pytest.param(Lorenz96(), np.full(40, 8.0), 1.0, id="lorenz96")]
+# a step far beyond RK4's stability limit and states that overflow in it
+BLOWUP = [pytest.param(Lorenz63(dt=0.05), np.full(3, 1e3), 1e2, id="lorenz63"),
+          pytest.param(Lorenz96(dt=0.5), np.zeros(40), 3.0, id="lorenz96")]
+
+
+def lorenz_states(center, scale, n_p):
+    shape = (center.size,) if n_p is None else (n_p, center.size)
+    return center + scale * np.random.default_rng(n_p or 0).standard_normal(shape)
+
+
+@pytest.mark.parametrize("n_p", [None, 1, 5, 20], ids=["1-D", "1", "5", "20"])
+@pytest.mark.parametrize("model,center,scale", LORENZ)
+def test_lorenz_window_matches_row_major_form(model, center, scale, n_p):
+    x = lorenz_states(center, scale, n_p)
+    ref, ref_samples = row_major_window(model, x, 30, every=7)
+    assert np.array_equal(advance_window(model, x, 30), ref)
+    assert np.array_equal(model.forecast(x, T0, 30, None), ref)
+    assert np.array_equal(free_run(model, x, 30, sample_every=7), np.array(ref_samples))
+
+
+@pytest.mark.parametrize("n_p", [None, 1, 5, 20], ids=["1-D", "1", "5", "20"])
+@pytest.mark.parametrize("model,center,scale", BLOWUP)
+def test_lorenz_blowup_matches_row_major_form(model, center, scale, n_p):
+    x = lorenz_states(center, scale, n_p)
+    with pytest.raises(IntegrationBlowupError) as ref:
+        row_major_window(model, x, 50)
+    for window in (advance_window, lambda m, x, s: m.forecast(x, T0, s, None)):
+        with pytest.raises(IntegrationBlowupError) as info:
+            window(model, x, 50)
+        assert info.value.step == ref.value.step > 1

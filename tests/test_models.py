@@ -88,13 +88,14 @@ class TestLorenz63:
 
     def test_drift_matches_stack_form(self):
         model = Lorenz63()
-        x = np.random.default_rng(3).standard_normal((7, 3)) * 10.0
-        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        # the drift takes components first: 7 states as (3, 7)
+        x = np.random.default_rng(3).standard_normal((3, 7)) * 10.0
+        x1, x2, x3 = x[0], x[1], x[2]
         stacked = np.stack([model.sigma * (x2 - x1),
                             x1 * (model.rho - x3) - x2,
-                            x1 * x2 - model.beta * x3], axis=-1)
+                            x1 * x2 - model.beta * x3])
         np.testing.assert_array_equal(model.drift(x), stacked)
-        np.testing.assert_array_equal(model.drift(x[0]), stacked[0])
+        np.testing.assert_array_equal(model.drift(x[:, 0]), stacked[:, 0])
 
     def test_blowup_reports_first_nonfinite_step(self):
         model = Lorenz63(dt=0.05)
@@ -129,14 +130,15 @@ class TestLorenz96:
     @pytest.mark.parametrize("n_vars", [4, 5, 40])
     def test_drift_matches_roll_form(self, n_vars):
         model = Lorenz96(n_vars=n_vars)
-        x = np.random.default_rng(n_vars).standard_normal((6, n_vars)) * 5.0
-        rolled = ((np.roll(x, -1, axis=-1) - np.roll(x, 2, axis=-1))
-                  * np.roll(x, 1, axis=-1) - x + model.forcing)
+        # the drift takes components first: 6 states as (n_vars, 6)
+        x = np.random.default_rng(n_vars).standard_normal((n_vars, 6)) * 5.0
+        rolled = ((np.roll(x, -1, axis=0) - np.roll(x, 2, axis=0))
+                  * np.roll(x, 1, axis=0) - x + model.forcing)
         np.testing.assert_array_equal(model.drift(x), rolled)
-        np.testing.assert_array_equal(model.drift(x[0]), rolled[0])
-        # states batch over any leading axes
-        x3 = x.reshape(2, 3, n_vars)
-        np.testing.assert_array_equal(model.drift(x3), rolled.reshape(2, 3, n_vars))
+        np.testing.assert_array_equal(model.drift(x[:, 0]), rolled[:, 0])
+        # states batch over any trailing axes
+        x3 = x.reshape(n_vars, 2, 3)
+        np.testing.assert_array_equal(model.drift(x3), rolled.reshape(n_vars, 2, 3))
 
     def test_ring_is_not_a_field(self):
         # the cached cyclic index leaves equality, hashing and data keys alone
