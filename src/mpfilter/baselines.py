@@ -26,13 +26,10 @@ class SirConfig:
     """Resampling policy: trigger threshold as a fraction of N_p."""
 
     resample_threshold: float = 0.5
-    resampler: str = "systematic"
 
     def __post_init__(self):
         if not 0.0 < self.resample_threshold <= 1.0:
             raise ContractViolation("resample_threshold must be in (0, 1]")
-        if self.resampler not in ("systematic", "multinomial"):
-            raise ContractViolation(f"resampler {self.resampler!r} is unknown")
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -41,12 +38,6 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     n = w.size
     positions = (rng.random() + np.arange(n)) / n
     return np.searchsorted(np.cumsum(w), positions).clip(0, n - 1)
-
-
-def multinomial_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    n = w.size
-    return np.searchsorted(np.cumsum(w), rng.random(n)).clip(0, n - 1)
 
 
 def sir_cycle(
@@ -80,11 +71,7 @@ def sir_cycle(
     n_eff = effective_sample_size(w)
     resampled = False
     if n_eff <= cfg.resample_threshold * n_p:
-        resample = {
-            "systematic": systematic_resample,
-            "multinomial": multinomial_resample,
-        }[cfg.resampler]
-        idx = resample(w, resample_rng)
+        idx = systematic_resample(w, resample_rng)
         states = states[idx]
         w = np.full(n_p, 1.0 / n_p)
         resampled = True

@@ -71,7 +71,11 @@ def _resolve_config(args) -> tuple:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("MPFILTER_LOG", "INFO"))
+    level = os.environ.get("MPFILTER_LOG", "INFO")
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: MPFILTER_LOG = {level!r} is not a log level", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level)
     args = _build_parser().parse_args(argv)
 
     if args.command == "list-presets":

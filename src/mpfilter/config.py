@@ -70,7 +70,6 @@ class ExperimentConfig:
     r_variance: float = 0.5
     q_spec: str
     spinup_steps: int = 20000
-    output: str = ""
     trace: bool = False
     kernel_alpha: float = 1.0
     mpf_optimizer: str = "adadelta"
@@ -79,11 +78,7 @@ class ExperimentConfig:
     mpf_criterion: str = "auto"
     mpf_neff_threshold: float = 0.9
     mpf_grad_ratio_threshold: float = 0.07
-    mpf_adadelta_rho: float = 0.95
-    mpf_adam_beta1: float = 0.9
-    mpf_adam_beta2: float = 0.999
     sir_resample_threshold: float = 0.5
-    sir_resampler: str = "systematic"
     lorenz96_n_vars: int = 40
     lorenz96_forcing: float = 8.0
     cholera_params: str = ""
@@ -233,9 +228,6 @@ def resolve_mapping_config(cfg: ExperimentConfig, n_x: int) -> mpf.MappingConfig
         criterion=criterion,
         neff_threshold=cfg.mpf_neff_threshold * cfg.n_particles,
         grad_ratio_threshold=cfg.mpf_grad_ratio_threshold,
-        adadelta_rho=cfg.mpf_adadelta_rho,
-        adam_beta1=cfg.mpf_adam_beta1,
-        adam_beta2=cfg.mpf_adam_beta2,
     )
 
 

@@ -158,7 +158,7 @@ def build_setup(cfg: ExperimentConfig) -> TwinSetup:
             f"{KDE_MAX_DIM} state dimensions (got {model.n_x}); use grad_ratio or max_iter"
         )
     mapping = check_section("mpf", lambda: resolve_mapping_config(cfg, model.n_x))
-    sir = check_section("sir", lambda: SirConfig(cfg.sir_resample_threshold, cfg.sir_resampler))
+    sir = check_section("sir", lambda: SirConfig(cfg.sir_resample_threshold))
     q_diag = resolve_q_diagonal(cfg, model)
     tiny = np.finfo(float).tiny  # below it a variance's inverse can overflow
     with np.errstate(over="ignore"):  # a bandwidth that overflows is inf
@@ -227,24 +227,21 @@ def run_twin_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
     name: str | None = None,
-    write_csv: bool | None = None,
 ) -> RunResult:
     """Run one twin experiment end to end.
 
-    When ``out_dir`` is given (or the config carries an ``output`` stem)
-    the per-cycle CSV, the resolved-config echo and, when enabled, the
-    per-iteration trace CSV are written there; partial CSV output is
-    flushed even when a filter error aborts the run.
+    When ``out_dir`` is given, and only then, the per-cycle CSV, the
+    resolved-config echo and, when enabled, the per-iteration trace CSV
+    are written there under ``name`` (default ``{model}-{filter}``);
+    partial CSV output is flushed even when a filter error aborts the run.
     """
     setup = build_setup(cfg)
     window = cfg.cycle_steps * cfg.dt
-    if write_csv is None:
-        write_csv = out_dir is not None
-    name = name or cfg.output or f"{cfg.model}-{cfg.filter}"
+    name = name or f"{cfg.model}-{cfg.filter}"
     csv_path = trace_path = resolved_path = None
     csv_file = trace_file = None
-    if write_csv:
-        out = Path(out_dir if out_dir is not None else ".")
+    if out_dir is not None:
+        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / f"{name}.csv"
         resolved_path = out / f"{name}_resolved.cfg"

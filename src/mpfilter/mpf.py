@@ -45,6 +45,10 @@ from mpfilter.ssm import PriorMixture, StateSpaceModel, log_posterior_grad
 
 OPTIMIZERS = ("sgd", "adadelta", "adam")
 CRITERIA = ("neff", "grad_ratio", "max_iter")
+ADADELTA_RHO = 0.95
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -62,7 +66,11 @@ class NonFiniteGradientError(RuntimeError):
 
 @dataclass
 class MappingConfig:
-    """Optimizer and stopping configuration for the mapping iterations."""
+    """Optimizer and stopping configuration for the mapping iterations.
+
+    The optimizers' decay rates and Adam's epsilon are the textbook
+    constants ``ADADELTA_RHO``, ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``."""
 
     optimizer: str = "adadelta"
     learning_rate: float = 0.03
@@ -70,10 +78,6 @@ class MappingConfig:
     criterion: str = "neff"
     neff_threshold: float | None = None  # default 0.9 * N_p, set at run time
     grad_ratio_threshold: float = 0.07
-    adadelta_rho: float = 0.95
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -121,37 +125,33 @@ class AdadeltaOptimizer:
     """
 
     def __init__(self, cfg: MappingConfig, shape):
-        self.rho = cfg.adadelta_rho
         self.lr2 = cfg.learning_rate**2
         self.acc_grad = np.zeros(shape)
         self.acc_delta = np.zeros(shape)
 
     def step(self, grads: np.ndarray) -> np.ndarray:
-        _decay(self.acc_grad, self.rho, grads * grads)
+        _decay(self.acc_grad, ADADELTA_RHO, grads * grads)
         delta = -np.sqrt(self.acc_delta + self.lr2)
         delta /= np.sqrt(self.acc_grad + self.lr2)
         delta *= grads
-        _decay(self.acc_delta, self.rho, delta * delta)
+        _decay(self.acc_delta, ADADELTA_RHO, delta * delta)
         return delta
 
 
 class AdamOptimizer:
     def __init__(self, cfg: MappingConfig, shape):
         self.lr = cfg.learning_rate
-        self.b1 = cfg.adam_beta1
-        self.b2 = cfg.adam_beta2
-        self.eps = cfg.adam_eps
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
 
     def step(self, grads: np.ndarray) -> np.ndarray:
         self.t += 1
-        _decay(self.m, self.b1, grads)
-        _decay(self.v, self.b2, grads * grads)
-        delta = self.m / (1.0 - self.b1**self.t)
+        _decay(self.m, ADAM_BETA1, grads)
+        _decay(self.v, ADAM_BETA2, grads * grads)
+        delta = self.m / (1.0 - ADAM_BETA1**self.t)
         delta *= -self.lr
-        delta /= np.sqrt(self.v / (1.0 - self.b2**self.t)) + self.eps
+        delta /= np.sqrt(self.v / (1.0 - ADAM_BETA2**self.t)) + ADAM_EPS
         return delta
 
 

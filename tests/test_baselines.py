@@ -7,7 +7,6 @@ import pytest
 from mpfilter.baselines import (
     SirConfig,
     enkf_cycle,
-    multinomial_resample,
     sir_cycle,
     systematic_resample,
 )
@@ -48,8 +47,6 @@ class TestSirConfig:
     def test_validation(self):
         with pytest.raises(ContractViolation):
             SirConfig(resample_threshold=0.0)
-        with pytest.raises(ContractViolation):
-            SirConfig(resampler="residual")
 
 
 class TestResamplers:
@@ -66,17 +63,6 @@ class TestResamplers:
         for _ in range(trials):
             idx = systematic_resample(w, rng)
             counts += np.bincount(idx, minlength=3)
-        expect = trials * 3 * w
-        sigma = np.sqrt(trials * 3 * w * (1 - w))
-        assert np.all(np.abs(counts - expect) < 3 * sigma)
-
-    def test_multinomial_unbiased(self):
-        w = np.array([0.7, 0.2, 0.1])
-        rng = np.random.default_rng(2)
-        counts = np.zeros(3)
-        trials = 10_000
-        for _ in range(trials):
-            counts += np.bincount(multinomial_resample(w, rng), minlength=3)
         expect = trials * 3 * w
         sigma = np.sqrt(trials * 3 * w * (1 - w))
         assert np.all(np.abs(counts - expect) < 3 * sigma)

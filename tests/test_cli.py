@@ -328,10 +328,9 @@ class TestRunTwinExperiment:
 
     def test_filters_share_truth(self):
         # same seed: the three filters see the same observations
-        base = SMALL + "output = x\n"
         obs = {}
         for filt in ("mpf", "sir", "enkf"):
-            cfg = loads(base)
+            cfg = loads(SMALL)
             cfg.filter = filt
             res = run_twin_experiment(cfg)
             obs[filt] = np.array([r.observation for r in res.records])
@@ -437,6 +436,17 @@ class TestCliCommands:
         assert "lorenz63-full-100p" in out
         assert "lorenz96-full-20p-enkf" in out
 
+    @pytest.mark.parametrize("argv", [["list-presets"], ["check", "any.cfg"]])
+    def test_unknown_log_level_exits_cleanly(self, monkeypatch, capsys, argv):
+        # every command reads MPFILTER_LOG first: an unknown level is one
+        # line naming the variable, not a traceback from logging
+        monkeypatch.setenv("MPFILTER_LOG", "verbose")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "error: MPFILTER_LOG = 'verbose' is not a log level"]
+
     def test_check_valid(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text(SMALL)
@@ -531,6 +541,15 @@ class TestCliCommands:
         pytest.param(SMALL + "mpf.grad_ratio_threshold = 2\n",
                      "mpf.grad_ratio_threshold", id="grad_ratio"),
         pytest.param(SMALL + "sir.resampler = foo\n", "sir.resampler", id="resampler"),
+        pytest.param(SMALL + "mpf.optimizer = adam\nmpf.adam_beta1 = 1.0\n",
+                     "mpf.adam_beta1", id="adam_beta1"),
+        pytest.param(SMALL + "mpf.optimizer = adam\nmpf.adam_beta2 = 1.0\n",
+                     "mpf.adam_beta2", id="adam_beta2"),
+        pytest.param(SMALL + "mpf.adadelta_rho = 1.5\n", "mpf.adadelta_rho",
+                     id="adadelta_rho-above-1"),
+        pytest.param(SMALL + "mpf.adadelta_rho = -3\n", "mpf.adadelta_rho",
+                     id="adadelta_rho-negative"),
+        pytest.param(SMALL + "output = x\n", "output", id="output"),
         pytest.param(SMALL + "sir.resample_threshold = 0\n", "sir.resample_threshold",
                      id="resample_threshold"),
         pytest.param("model = lorenz96\nseed = 1\nlorenz96.n_vars = 3\n",

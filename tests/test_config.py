@@ -170,7 +170,6 @@ obs_operator = every2
 r_variance = 0.25
 q_spec = diag:0.1
 spinup_steps = 30
-output = stem
 trace = true
 kernel.alpha = 2.5
 mpf.optimizer = adam
@@ -179,11 +178,7 @@ mpf.max_iterations = 7
 mpf.criterion = max_iter
 mpf.neff_threshold = 0.5
 mpf.grad_ratio_threshold = 0.2
-mpf.adadelta_rho = 0.9
-mpf.adam_beta1 = 0.8
-mpf.adam_beta2 = 0.99
 sir.resample_threshold = 0.3
-sir.resampler = multinomial
 lorenz96.n_vars = 12
 lorenz96.forcing = 6.5
 cholera.params = params.cfg

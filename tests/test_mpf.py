@@ -19,6 +19,10 @@ from mpfilter.experiment import run_twin_experiment
 from mpfilter.kernels import GaussianKernel
 from mpfilter.models import Lorenz63
 from mpfilter.mpf import (
+    ADADELTA_RHO,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdadeltaOptimizer,
     AdamOptimizer,
     MappingConfig,
@@ -220,10 +224,9 @@ class TestOptimizers:
         opt = make_optimizer(cfg, (6, 3))
         new = [opt.step(g) for g in grads]
         if name == "adadelta":
-            old = allocating_adadelta(cfg.adadelta_rho, cfg.learning_rate, grads)
+            old = allocating_adadelta(ADADELTA_RHO, cfg.learning_rate, grads)
         else:
-            old = allocating_adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2,
-                                  cfg.adam_eps, grads)
+            old = allocating_adam(cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, grads)
         assert [a.tobytes() for a in new] == [b.tobytes() for b in old]
 
     def test_nonfinite_gradient_rejected(self):

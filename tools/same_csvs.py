@@ -10,8 +10,9 @@ cycle count or at ``--cycles N``.  The files a run writes are then
 compared: a CSV field by field outside the ``*_ms`` columns (wall-clock
 timings), every other file (``_resolved.cfg``) byte for byte, reported by
 the first line a diff removes or adds and the count of the others.  A run
-that fails must fail alike in both trees.  The exit status is 1 if any
-preset differs, else 0.
+that fails must fail alike in both trees.  The last line counts the CSVs
+and the resolved configs that are the same.  The exit status is 1 if any
+file or run differs, else 0.
 
 This is the check for a change that should not move any result bit; it is
 not part of the test suite.
@@ -98,18 +99,17 @@ def text_difference(a: Path, b: Path) -> str:
     return f"{changed[0]!r}{more}"
 
 
-def compare(out_a: Path, out_b: Path) -> list[str]:
-    names_a = sorted(p.name for p in out_a.iterdir())
-    names_b = sorted(p.name for p in out_b.iterdir())
-    if names_a != names_b:
-        return [f"files {names_a} != {names_b}"]
-    problems = []
-    for fname in names_a:
+def compare(out_a: Path, out_b: Path) -> dict[str, str]:
+    """Each file either run wrote, by name, with its first difference or
+    ''; a file only one run wrote differs."""
+    diffs = {}
+    for fname in sorted({p.name for p in out_a.iterdir()} | {p.name for p in out_b.iterdir()}):
         a, b = out_a / fname, out_b / fname
-        diff = (csv_difference if fname.endswith(".csv") else text_difference)(a, b)
-        if diff:
-            problems.append(f"{fname}: {diff}")
-    return problems
+        if not (a.exists() and b.exists()):
+            diffs[fname] = f"written in the {'parent' if a.exists() else 'change'} only"
+        else:
+            diffs[fname] = (csv_difference if fname.endswith(".csv") else text_difference)(a, b)
+    return diffs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -136,9 +136,15 @@ def main(argv: list[str] | None = None) -> int:
             errors = list(pool.map(
                 lambda job: run_preset(job[0], job[1], job[2], args.cycles), jobs))
         failed = 0
+        files = {"CSVs": [0, 0], "resolved configs": [0, 0]}  # kind -> [same, total]
         for k, name in enumerate(names):
             err_a, err_b = errors[2 * k], errors[2 * k + 1]
-            problems = compare(jobs[2 * k][2], jobs[2 * k + 1][2])
+            diffs = compare(jobs[2 * k][2], jobs[2 * k + 1][2])
+            for fname, diff in diffs.items():
+                tally = files["CSVs" if fname.endswith(".csv") else "resolved configs"]
+                tally[0] += not diff
+                tally[1] += 1
+            problems = [f"{fname}: {diff}" for fname, diff in diffs.items() if diff]
             if err_a != err_b:
                 problems.append(f"run error {err_a!r} != {err_b!r}")
             failed += bool(problems)
@@ -148,7 +154,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: {status}")
             for problem in problems:
                 print(f"    {problem}")
-    print(f"{len(names) - failed} of {len(names)} presets the same")
+    print("; ".join(f"{same} of {total} {kind} the same"
+                    for kind, (same, total) in files.items()))
     return 1 if failed else 0
 
 
