@@ -6,7 +6,8 @@ is ``mpf.learning_rate``).  A field's annotation is the type its value is
 parsed as and its default is the config default; a field without one is
 required unless ``_MODEL_DEFAULTS`` gives the model's value.  Lines are
 ``key = value``; ``#`` starts a comment; unknown keys are rejected
-fail-fast with the nearest valid key named.  Presets shipped with the
+fail-fast with the nearest valid key named, or, for a key the program
+no longer reads, as removed.  Presets shipped with the
 package reproduce the standard experiments; ``-sir`` / ``-enkf`` suffixes
 give the baseline twins of any preset.
 
@@ -50,6 +51,9 @@ _MODEL_DEFAULTS: dict[str, dict[str, object]] = {
     },
 }
 MODELS = tuple(_MODEL_DEFAULTS)
+# keys the program read once: a config that still sets one is told so
+_REMOVED_KEYS = ("mpf.carry_weights", "mpf.adadelta_rho", "mpf.adam_beta1",
+                 "mpf.adam_beta2", "sir.resampler", "output")
 FILTERS = ("mpf", "sir", "enkf")  # FILTERS[1:], the baselines, name the preset twins
 
 
@@ -157,6 +161,8 @@ def loads(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     raw = parse_flat(text)
     values: dict[str, object] = {}
     for key, (value, line_no) in raw.items():
+        if key in _REMOVED_KEYS:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}: the key was removed")
         if key not in _FIELDS:
             raise ConfigError(
                 f"line {line_no}: unknown key {key!r}{_nearest_key_hint(key)}"

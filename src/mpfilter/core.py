@@ -1,7 +1,9 @@
 """Core numerical objects: covariances and particle ensembles.
 
 State vectors are plain 1-D ``numpy`` arrays; batches of states are 2-D
-arrays with one row per particle.  All reductions run in an order fixed
+arrays with one row per particle, which the integrator and the mapping
+transpose into one contiguous copy stored by component, ``(n_x, N_p)``,
+for their loops.  All reductions run in an order fixed
 by the code and the numpy/BLAS build (the pairwise passes' matrix products
 sum in the BLAS's order), so identical seeds give bitwise-identical runs.
 """
@@ -26,9 +28,11 @@ class CovarianceError(ValueError):
 class Covariance:
     """Diagonal covariance, a vector of positive variances: Q, the kernel
     bandwidth ``A = alpha Q`` and R all are.  Solves, quadratic forms and
-    samples are elementwise; :meth:`whiten` gives the whitened coordinates
-    from which the Gram matrix and the mixture form their pairwise
-    Mahalanobis terms, each as one matrix product."""
+    samples are elementwise.  ``std`` holds the standard deviations, the
+    square roots of the variances.  :meth:`whiten` gives the whitened
+    coordinates, stored by component, from which the Gram matrix and the
+    mixture form their pairwise Mahalanobis terms, each as one matrix
+    product."""
 
     def __init__(self, variances: np.ndarray):
         variances = np.asarray(variances, dtype=float)
@@ -37,8 +41,8 @@ class Covariance:
         if not np.all(np.isfinite(variances)) or np.any(variances <= 0.0):
             raise CovarianceError("diagonal entries must be finite and > 0")
         self._diag = variances.copy()
-        self._sqrt_diag = np.sqrt(variances)
-        self._inv_sqrt_diag = 1.0 / self._sqrt_diag
+        self.std = np.sqrt(variances)
+        self._inv_std = (1.0 / self.std)[:, None]
         self._inv_diag = 1.0 / variances
 
     @classmethod
@@ -77,24 +81,30 @@ class Covariance:
         self._check_dim(v.shape[-1])
         return np.einsum("...i,...i->...", v, self.solve(v))
 
-    def whiten(self, x: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the whitened rows ``z = (x - m) Sigma^{-1/2}`` of the 2-D
-        array ``x`` into ``out`` (the leading columns of the caller's
-        product operand) and return their half squared norms ``h = |z|^2 / 2``.
-        Centering on ``m`` (the mean of the set the rows are compared
-        against) keeps the distance expansion from cancelling for states far
-        from the origin.  A norm that overflows is ``inf``."""
-        self._check_dim(x.shape[1])
-        np.subtract(x, m, out=out)
-        out *= self._inv_sqrt_diag
-        h = (out * out).sum(axis=1)
-        h *= 0.5
-        return h
+    def whiten(self, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The pairwise operand ``[z; -h; 1]``, ``(n + 2, N)``, of the
+        columns of ``x`` ``(n, N)``: the whitened columns ``z = Sigma^{-1/2}
+        (x - m)``, minus their half squared norms ``h = |z|^2 / 2``, and a
+        row of ones.  Centering on ``m`` (the mean of the set the columns
+        are compared against) keeps the distance expansion from cancelling
+        for states far from the origin.  A norm that overflows is ``inf``,
+        without a warning."""
+        n = x.shape[0]
+        self._check_dim(n)
+        w = np.empty((n + 2, x.shape[1]))
+        z = w[:n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(x, m[:, None], out=z)
+            z *= self._inv_std
+            np.add.reduce(z * z, axis=0, out=w[n])
+        w[n] *= -0.5
+        w[n + 1] = 1.0
+        return w
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw ``N(0, Sigma)`` samples; shape ``(dim,)`` or ``(size, dim)``."""
         shape = (self.dim,) if size is None else (size, self.dim)
-        return rng.standard_normal(shape) * self._sqrt_diag
+        return rng.standard_normal(shape) * self.std
 
     def sample_rows(self, rngs: list[np.random.Generator]) -> np.ndarray:
         """One ``N(0, Sigma)`` draw per generator, row ``j`` from ``rngs[j]``:
@@ -102,7 +112,7 @@ class Covariance:
         draws = np.empty((len(rngs), self.dim))
         for row, rng in zip(draws, rngs):
             rng.standard_normal(out=row)
-        draws *= self._sqrt_diag
+        draws *= self.std
         return draws
 
 

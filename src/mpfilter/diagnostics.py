@@ -3,8 +3,12 @@ effective sample size, KL-from-weights, RMSE/spread scoring, and the one
 per-cycle diagnostic record every filter returns (:class:`CycleDiag`).
 
 The proposal density for the weights is a kernel density estimate over the
-particles, evaluated at the particles themselves from the kernel Gram
-matrix, and only up to ``KDE_MAX_DIM`` state dimensions.  Weights are a
+particles, evaluated at the particles themselves from the column sums of
+the kernel Gram matrix, and only up to ``KDE_MAX_DIM`` state dimensions.
+The mapping forms the weights from what its pass at the particles
+computed already (:func:`kde_log_density`, :func:`importance_weights`);
+:func:`kde_log_proposal` and :func:`importance_report` take particles by
+row.  Weights are a
 diagnostic only: the filter ensemble, and the next cycle's prior, stay
 equal-weight.
 """
@@ -72,24 +76,38 @@ def kl_from_weights(weights: np.ndarray) -> float:
     return float(-np.mean(logs))
 
 
+def kde_log_density(gram_colsums: np.ndarray) -> np.ndarray:
+    """Log of the (unnormalized) KDE ``(1/N_p) sum_l K(x_l, .)`` at each
+    particle ``x_j``, from the column sums of the Gram matrix.  The KDE
+    normalization constant cancels in normalized weights."""
+    return np.log(gram_colsums / gram_colsums.size)
+
+
 def kde_log_proposal(
     kernel: GaussianKernel,
     states: np.ndarray,
     max_dim: int = KDE_MAX_DIM,
-    gram: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Log of the (unnormalized) KDE ``(1/N_p) sum_l K(x_l, .)`` at each
-    particle ``x_j`` (the rows of a 2-D float array).
-
-    ``gram``, when given, is ``kernel.interactions(states)`` computed
-    already.  The KDE normalization constant cancels in normalized weights.
-    """
+    """:func:`kde_log_density` at the rows of a 2-D float array."""
     if states.shape[1] > max_dim:
         raise ContractViolation(
             f"KDE proposal limited to {max_dim} dimensions (got {states.shape[1]})"
         )
-    gram = kernel.interactions(states) if gram is None else gram
-    return np.log(gram.sum(axis=0) / gram.shape[0])
+    return kde_log_density(kernel.interactions(states).sum(axis=0))
+
+
+def importance_weights(
+    log_lik: np.ndarray, log_prior: np.ndarray, log_proposal: np.ndarray, route: str,
+) -> WeightReport:
+    """Normalized importance weights of the sequential posterior, the log
+    likelihood plus the log prior, against log proposal densities."""
+    log_w = log_lik + log_prior - log_proposal
+    top = log_w.max()
+    if not np.isfinite(top):
+        raise NumericalDegeneracyError(f"importance log weights degenerate (max {top})")
+    w = np.exp(log_w - top)
+    w /= w.sum()
+    return WeightReport(weights=w, n_eff=effective_sample_size(w), route=route)
 
 
 def importance_report(
@@ -99,22 +117,12 @@ def importance_report(
     y: np.ndarray,
     log_proposal: np.ndarray,
     route: str,
-    mixture: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> WeightReport:
-    """Normalized importance weights from log proposal densities.
-
-    ``mixture``, when given, is ``prior.evaluate(states)`` computed already.
-    """
+    """:func:`importance_weights` at the rows of a 2-D float array."""
     if log_proposal.shape != (states.shape[0],):
         raise ContractViolation("one proposal density per particle required")
-    _, log_prior = prior.evaluate(states) if mixture is None else mixture
-    log_w = log_likelihood(ssm, states, y) + log_prior - log_proposal
-    top = log_w.max()
-    if not np.isfinite(top):
-        raise NumericalDegeneracyError(f"importance log weights degenerate (max {top})")
-    w = np.exp(log_w - top)
-    w /= w.sum()
-    return WeightReport(weights=w, n_eff=effective_sample_size(w), route=route)
+    _, log_prior = prior.evaluate(states)
+    return importance_weights(log_likelihood(ssm, states, y), log_prior, log_proposal, route)
 
 
 def score_cycle(truth: np.ndarray, analysis: Ensemble) -> tuple[float, float]:

@@ -9,24 +9,34 @@ iterate
     x_j  <- x_j + step rule(-dKL_j direction)
 
 with a synchronous (Jacobi-style) batch update, until a convergence
-criterion or the iteration cap fires.  For the Gaussian kernel both sums
-are matrix products with the Gram matrix G (the matrix form of SVGD):
-attraction ``G^T g`` and repulsion ``A^{-1} (G^T X - colsum(G) * X)``, all
-three read from the one product ``G^T [g | X | 1]``.
-The O(N_p^2) work -- the Gram matrix and one evaluation of the mixture
-(its responsibility-weighted centers and log density from one softmax) --
-is done once per set of particle positions and shared by the gradient at
-those positions, the N_eff rule after the update that produced them and
-the cycle's closing weight report.  Each is one matrix product of the
-particles whitened once (``Covariance.whiten``) against a stacked
-operand; the mixture's center operands are built once per cycle, and the
-KL of the weights only for the closing report.
+criterion or the iteration cap fires.
+
+:func:`mapping_cycle` holds the particles as one contiguous ``(n_x, N_p)``
+array stored by component for the whole cycle, as the model integration
+does, so each broadcast and reduction over particles runs along contiguous
+rows; it returns the row-major ``Ensemble``.  Every per-particle quantity
+is a ``(k, N_p)`` array: the whitened particles, the innovation, the
+gradient, the field and the optimizer state.  The O(N_p^2) work is one
+pass per set of particle positions (:class:`_Pass`).  It whitens the
+particles once, ``z = Q^{-1/2} (x - m)`` around the mean of the centers,
+into the operand ``[z; -h; 1]``, from which the kernel Gram matrix ``G``
+and the mixture evaluation (weighted centers and log density) are one
+matrix product each; it computes the innovation ``y - H x`` and the Gram
+column sums once.  The pass at the positions an update produced is shared
+by the N_eff rule there, the gradient of the next iteration and the
+cycle's closing weight report.  In whitened units the prior covariance is
+I and the kernel bandwidth ``alpha I``, and both sums of the KL gradient
+come from one product, ``[g; z] @ G``: the attraction ``sum_l G[l, j]
+g_l`` and ``sum_l G[l, j] z_l``, from which the repulsion is
+``(colsum(G)_j z_j - sum_l G[l, j] z_l) / alpha``.  The optimizer sees the field in
+state units, ``Q^{-1/2}`` times it, so its steps, the gradient norms and
+the stopping rules are those of the state coordinates.
 :func:`mapping_cycle` checks its inputs once; what it calls trusts them.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +46,19 @@ from mpfilter.diagnostics import (
     KDE_MAX_DIM,
     CycleDiag,
     WeightReport,
-    importance_report,
-    kde_log_proposal,
+    importance_weights,
+    kde_log_density,
     weight_variance,
 )
 from mpfilter.kernels import GaussianKernel
-from mpfilter.ssm import PriorMixture, StateSpaceModel, log_posterior_grad
+from mpfilter.ssm import (
+    PriorMixture,
+    StateSpaceModel,
+    innovation,
+    innovation_log_likelihood,
+    whitened_gain,
+    whitened_log_posterior_grad,
+)
 
 OPTIMIZERS = ("sgd", "adadelta", "adam")
 CRITERIA = ("neff", "grad_ratio", "max_iter")
@@ -84,8 +101,10 @@ class MappingConfig:
             raise ContractViolation(f"optimizer {self.optimizer!r} is unknown")
         if self.criterion not in CRITERIA:
             raise ContractViolation(f"criterion {self.criterion!r} is unknown")
-        if self.learning_rate <= 0.0:
-            raise ContractViolation("learning_rate must be > 0")
+        # Adadelta conditions its steps with the square of the rate
+        if not (self.learning_rate > 0.0
+                and math.isfinite(self.learning_rate * self.learning_rate)):
+            raise ContractViolation("learning_rate must be > 0 with a finite square")
         if self.max_iterations < 1:
             raise ContractViolation("max_iterations must be >= 1")
         if not 0.0 < self.grad_ratio_threshold < 1.0:
@@ -160,35 +179,48 @@ def make_optimizer(cfg: MappingConfig, shape):
     return cls[cfg.optimizer](cfg, shape)
 
 
+def _field(
+    alpha: float,
+    grads: np.ndarray,
+    z: np.ndarray,
+    gram: np.ndarray,
+    colsums: np.ndarray,
+    scale: np.ndarray,
+) -> np.ndarray:
+    """``scale`` times the KL gradient in whitened units at each column,
+    before its ``-1/N_p``: the attraction ``sum_l G[l, j] g_l`` plus the
+    repulsion ``(colsum(G)_j z_j - sum_l G[l, j] z_l) / alpha``, both sums
+    read from the one product ``[g; z] @ G``."""
+    n_x = z.shape[0]
+    sums = np.concatenate((grads, z)) @ gram
+    field, repulsion = sums[:n_x], sums[n_x:]
+    np.subtract(colsums * z, repulsion, out=repulsion)
+    repulsion /= alpha
+    field += repulsion
+    field *= scale
+    return field
+
+
 def kl_gradient_field(
     kernel: GaussianKernel,
     states: np.ndarray,
     logp_grads: np.ndarray,
     gram: np.ndarray,
 ) -> np.ndarray:
-    """Monte-Carlo KL divergence gradient at every particle.
+    """Monte-Carlo KL divergence gradient at every particle, the rows of
+    ``states``.
 
     ``dKL(x_j) = -(1/N_p) sum_l [K(x_l, x_j) g_l - A^{-1}(x_l - x_j) K(x_l, x_j)]``
-    with ``gram = kernel.interactions(states)``.  The second term is the
-    repulsion; with a single particle the field collapses to ``-g`` (the
-    3D-Var limit).
+    with ``gram = kernel.interactions(states)``, formed as the mapping
+    forms it, in units of the kernel's Q (the repulsion does not depend on
+    where they are centered).  The second term is the repulsion; with a
+    single particle the field collapses to ``-g`` (the 3D-Var limit).
     """
     if logp_grads.shape != states.shape:
         raise ContractViolation("logp_grads shape must match particle states")
-    n_p, n_x = states.shape
-    rhs = np.empty((n_p, 2 * n_x + 1))
-    rhs[:, :n_x] = logp_grads
-    rhs[:, n_x:-1] = states
-    rhs[:, -1] = 1.0
-    # sum_l G[l, j] [g_l | x_l | 1]: the attraction, G^T X and colsum(G)
-    sums = gram.T @ rhs
-    # sum_l grad_source(x_l, x_j) = -A^{-1} sum_l G[l, j] (x_l - x_j)
-    field = np.multiply(sums[:, -1:], states)
-    np.subtract(sums[:, n_x:-1], field, out=field)
-    field = kernel.bandwidth.solve(field)
-    field -= sums[:, :n_x]
-    field /= n_p
-    return field
+    std = kernel.q.std[:, None]
+    return _field(kernel.alpha, logp_grads.T * std, states.T / std, gram, gram.sum(axis=0),
+                  -1.0 / (states.shape[0] * std)).T
 
 
 def check_convergence(
@@ -207,26 +239,23 @@ def check_convergence(
     return neff_trace[-1] >= cfg.resolved_neff_threshold(n_particles)
 
 
-def _pairwise_pass(kernel: GaussianKernel, prior: PriorMixture, states: np.ndarray):
-    """The O(N_p^2) quantities at one set of positions: the kernel Gram
-    matrix and the mixture evaluation (weighted centers, log density)."""
-    return kernel.interactions(states), prior.evaluate(states)
+class _Pass:
+    """The O(N_p^2) pass at one set of positions ``x`` ``(n_x, N_p)``: the
+    particles whitened once, the Gram matrix and its column sums, the
+    mixture evaluation (weighted centers, log density) and the innovation
+    ``y - H x``."""
 
+    def __init__(self, ssm, prior, kernel, y, x):
+        self.w = prior.whiten(x)
+        self.gram = kernel.gram(self.w)
+        self.colsums = self.gram.sum(axis=0)
+        self.mixture = prior.mix(self.w)
+        self.innov = innovation(ssm, x, y)
 
-def _kde_report(ssm, prior, kernel, states, y, pairs) -> WeightReport:
-    gram, mixture = pairs
-    log_q = kde_log_proposal(kernel, states, gram=gram)
-    return importance_report(ssm, prior, states, y, log_q, route="kde", mixture=mixture)
-
-
-@contextmanager
-def _aborts_at(cycle: int | None, iteration: int):
-    """Prefix the message of an error raised inside with where the mapping stopped."""
-    try:
-        yield
-    except Exception as exc:
-        exc.args = (f"mapping aborted at cycle {cycle}, iteration {iteration}: {exc}",)
-        raise
+    def report(self, ssm) -> WeightReport:
+        """The KDE importance weights at these positions."""
+        return importance_weights(innovation_log_likelihood(ssm, self.innov.T),
+                                  self.mixture[1], kde_log_density(self.colsums), "kde")
 
 
 def mapping_cycle(
@@ -248,64 +277,76 @@ def mapping_cycle(
     given, receives ``(iteration, mean_grad_norm, neff_or_nan)`` tuples.
     The ``CycleDiag`` carries the iteration count, the first and last mean
     gradient norms and, up to ``KDE_MAX_DIM`` state dimensions, the KDE
-    weight report of the final particles.
+    weight report of the final particles.  An error inside the loop is
+    re-raised with its message prefixed by the cycle and iteration it
+    stopped at; a non-finite gradient raises ``NonFiniteGradientError``.
     """
     prior = PriorMixture(centers, ssm.q)
-    states = np.array(states, dtype=float)
-    n_p, n_x = states.shape
+    x = np.array(np.asarray(states, dtype=float).T, order="C")
+    n_x, n_p = x.shape
     y = np.asarray(y, dtype=float)
     if y.shape != (ssm.obs_matrix.shape[0],):
         raise ContractViolation(f"observation shape {y.shape} does not match H")
-    opt = make_optimizer(cfg, states.shape)
+    if not np.array_equal(kernel.q.std, ssm.q.std):
+        raise ContractViolation("the kernel bandwidth must be alpha times the model's Q")
     want_neff = cfg.criterion == "neff"
+    if want_neff and n_x > KDE_MAX_DIM:
+        raise ContractViolation(
+            f"KDE proposal limited to {KDE_MAX_DIM} dimensions (got {n_x})")
+    opt = make_optimizer(cfg, x.shape)
+    gain = whitened_gain(ssm)
+    scale = -1.0 / (n_p * ssm.q.std[:, None])  # whitened units -> state units, times -1/N_p
     grad_norms: list[float] = []
     neffs: list[float] = []
 
-    # pass at the current positions, built when first needed after an update
-    pairs = None
+    # the pass at the current positions, made when first needed after an update
+    here = None
     report = None
-    iterations = 0
-    for i in range(cfg.max_iterations):
-        with _aborts_at(cycle, i):
-            if pairs is None:
-                pairs = _pairwise_pass(kernel, prior, states)
-            gram, mixture = pairs
-            logp_grads = log_posterior_grad(ssm, prior, states, y, mixture=mixture)
-            field_vals = kl_gradient_field(kernel, states, logp_grads, gram)
-        # the mean row norm, with np.linalg.norm's and np.mean's arithmetic;
-        # a row that is not finite or whose norm overflows stops the mapping
-        with np.errstate(over="ignore"):
-            norms = np.sqrt((field_vals * field_vals).sum(axis=1))
-        finite = np.isfinite(norms)
-        if not finite.all():  # name the first bad particle
-            raise NonFiniteGradientError(int(np.argmin(finite)), i, cycle)
-        grad_norms.append(float(norms.sum() / n_p))
+    iterations = i = 0
+    try:
+        for i in range(cfg.max_iterations):
+            if here is None:
+                here = _Pass(ssm, prior, kernel, y, x)
+            grads = whitened_log_posterior_grad(ssm, gain, x, here.mixture, here.innov)
+            field = _field(kernel.alpha, grads, here.w[:n_x], here.gram, here.colsums, scale)
+            # the mean column norm, with np.linalg.norm's and np.mean's
+            # arithmetic; a column that is not finite or whose norm
+            # overflows stops the mapping
+            with np.errstate(over="ignore"):
+                norms = np.sqrt((field * field).sum(axis=0))
+            finite = np.isfinite(norms)
+            if not finite.all():  # name the first bad particle
+                raise NonFiniteGradientError(int(np.argmin(finite)), i, cycle)
+            grad_norms.append(float(norms.sum() / n_p))
 
-        states += opt.step(field_vals)
-        pairs = None
-        iterations = i + 1
+            x += opt.step(field)
+            here = None
+            iterations = i + 1
 
-        neff = float("nan")
-        if want_neff:
-            with _aborts_at(cycle, i):
-                pairs = _pairwise_pass(kernel, prior, states)
-                report = _kde_report(ssm, prior, kernel, states, y, pairs)
-            neff = report.n_eff
-            neffs.append(neff)
-        if diag_sink is not None:
-            diag_sink(iterations, grad_norms[-1], neff)
-        if cfg.criterion != "max_iter" and check_convergence(cfg, grad_norms, neffs, n_p):
-            break
+            neff = float("nan")
+            if want_neff:
+                here = _Pass(ssm, prior, kernel, y, x)
+                report = here.report(ssm)
+                neff = report.n_eff
+                neffs.append(neff)
+            if diag_sink is not None:
+                diag_sink(iterations, grad_norms[-1], neff)
+            if cfg.criterion != "max_iter" and check_convergence(cfg, grad_norms, neffs, n_p):
+                break
 
-    # under the neff rule the last report already scored the final states
-    if report is None and n_x <= KDE_MAX_DIM:
-        with _aborts_at(cycle, iterations):
-            pairs = _pairwise_pass(kernel, prior, states)
-            report = _kde_report(ssm, prior, kernel, states, y, pairs)
+        # under the neff rule the last report already scored the final states
+        i = iterations
+        if report is None and n_x <= KDE_MAX_DIM:
+            report = _Pass(ssm, prior, kernel, y, x).report(ssm)
+    except NonFiniteGradientError:
+        raise
+    except Exception as exc:
+        exc.args = (f"mapping aborted at cycle {cycle}, iteration {i}: {exc}",)
+        raise
     diag = CycleDiag(map_iterations=iterations, grad_norm_initial=grad_norms[0],
                      grad_norm_final=grad_norms[-1])
     if report is not None:
         diag.neff = report.n_eff
         diag.kl_from_weights = report.kl_from_weights
         diag.weight_variance = weight_variance(report.weights)
-    return Ensemble.equal_weight(states), diag
+    return Ensemble.equal_weight(x.T), diag

@@ -19,6 +19,8 @@ finite differences:
   written on any of them; the program's own products reorder these sums,
   so the tests hold it to them within a tolerance that scales with the
   whitened squared norms (``gemm_tolerance``, ``mixture_tolerance``);
+* the mapping's gradient, KL field and KDE weights as it formed them on
+  particles stored by row, the oracle of the component-first pass;
 * the Adadelta and Adam steps in their allocating form, whose bits the
   in-place optimizers must keep;
 * the Lorenz drifts on states stored by particle, ``(..., n_x)``, and the
@@ -41,6 +43,11 @@ from mpfilter.config import ConfigError
 from mpfilter.core import Ensemble
 from mpfilter.models import IntegrationBlowupError, advance_window, free_run
 from mpfilter.ssm import NumericalDegeneracyError, log_likelihood
+
+
+def bandwidth(kernel):
+    """The kernel's bandwidth ``A = alpha Q`` as a covariance."""
+    return kernel.q.scaled(kernel.alpha)
 
 
 def kernel_value(bandwidth, x, xp) -> float:
@@ -116,6 +123,15 @@ def allocating_form(cov, a, b):
     return np.maximum(d, 0.0, out=d)
 
 
+def _whiten_rows(cov, x, m):
+    """The rows of ``x`` whitened on ``m``, ``(x - m) Sigma^{-1/2}``, and
+    their half squared norms, as the pairwise passes once whitened by row."""
+    z = (x - m) * (1.0 / cov.std)
+    h = (z * z).sum(axis=1)
+    h *= 0.5
+    return z, h
+
+
 def folded_form(cov, a, b):
     """Pairwise distances as the one in-place product the Gram matrix and
     the mixture shared before each folded its terms into its own product:
@@ -124,9 +140,8 @@ def folded_form(cov, a, b):
     when a whitened norm can overflow).  Bit for bit the allocating form,
     except at the ends of the float range."""
     m = b.mean(axis=0)
-    za, zb = np.empty_like(a), np.empty_like(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        ha, hb = cov.whiten(a, m, za), cov.whiten(b, m, zb)
+        (za, ha), (zb, hb) = _whiten_rows(cov, a, m), _whiten_rows(cov, b, m)
         d = za @ zb.T
         d -= ha[:, None] + hb
         if not math.isfinite(4.0 * (ha.max() + hb.max())):
@@ -175,6 +190,39 @@ def mixture_evaluate(prior, x, pairwise=allocating_form):
     s = p.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: all -inf
         return (p / s) @ prior.centers, np.log(s[:, 0]) + top[:, 0]
+
+
+def row_major_grad(ssm, prior, x, y):
+    """The log-posterior gradient at the rows of ``x`` as the mapping formed
+    it by particle: ``H^T R^{-1} (y - H x) - Q^{-1} (x - sum_m resp_m
+    c_m)``, the weighted centers from :func:`mixture_evaluate`; a particle
+    whose mixture log density is ``-inf`` is rejected."""
+    centers_bar, log_density = mixture_evaluate(prior, x)
+    if (log_density == -np.inf).any():
+        bad = int(np.argmin(log_density))
+        raise NumericalDegeneracyError(f"mixture responsibilities underflowed at particle {bad}")
+    innov = y - x @ ssm.obs_matrix.T
+    return ssm.r.solve(innov) @ ssm.obs_matrix - ssm.q.solve(x - centers_bar)
+
+
+def row_major_field(bandwidth, states, grads, gram):
+    """The KL gradient at the rows of ``states`` as the mapping formed it by
+    particle, from ``G^T [g | X | 1]``: ``(A^{-1} (G^T X - colsum(G) X) -
+    G^T g) / N_p``."""
+    n_p, n_x = states.shape
+    sums = gram.T @ np.hstack([grads, states, np.ones((n_p, 1))])
+    repulsion = bandwidth.solve(sums[:, n_x:-1] - sums[:, -1:] * states)
+    return (repulsion - sums[:, :n_x]) / n_p
+
+
+def row_major_weights(ssm, prior, states, y, gram):
+    """The KDE importance weights at the rows of ``states`` as the mapping
+    formed them by particle: the likelihood times the mixture over the KDE
+    ``(1/N_p) sum_l K(x_l, .)``, normalized."""
+    log_q = np.log(gram.sum(axis=0) / len(states))
+    log_w = log_likelihood(ssm, states, y) + mixture_evaluate(prior, states)[1] - log_q
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
 
 
 def allocating_adadelta(rho, learning_rate, grads_seq):

@@ -27,7 +27,8 @@ from mpfilter.kernels import GaussianKernel
 from mpfilter.mpf import MappingConfig, kl_gradient_field, mapping_cycle
 from mpfilter.models import Lorenz63
 from mpfilter.ssm import PriorMixture, StateSpaceModel, log_posterior_grad
-from oracles import cross_hessian, grad_source, kernel_value, log_posterior_unnormalized
+from oracles import (bandwidth, cross_hessian, grad_source, kernel_value,
+                     log_posterior_unnormalized)
 
 
 def report(n: int, ok: bool, detail: str = "") -> None:
@@ -203,22 +204,22 @@ def test_criterion_7_gradient_oracles():
         worst["posterior"] = max(worst["posterior"],
                                  rel_err(g, fd))
 
-        kg = grad_source(kernel.bandwidth, s, x)
+        kg = grad_source(bandwidth(kernel), s, x)
         fd = np.empty(n_x)
         for i in range(n_x):
             e = np.zeros(n_x)
             e[i] = h
-            fd[i] = (kernel_value(kernel.bandwidth, s + e, x)
-                     - kernel_value(kernel.bandwidth, s - e, x)) / (2 * h)
+            fd[i] = (kernel_value(bandwidth(kernel), s + e, x)
+                     - kernel_value(bandwidth(kernel), s - e, x)) / (2 * h)
         worst["kernel_grad"] = max(worst["kernel_grad"], rel_err(kg, fd))
 
-        ch = cross_hessian(kernel.bandwidth, s, x)
+        ch = cross_hessian(bandwidth(kernel), s, x)
         fd2 = np.empty((n_x, n_x))
         for i in range(n_x):
             e = np.zeros(n_x)
             e[i] = h
-            fd2[:, i] = (grad_source(kernel.bandwidth, s, x + e)
-                         - grad_source(kernel.bandwidth, s, x - e)) / (2 * h)
+            fd2[:, i] = (grad_source(bandwidth(kernel), s, x + e)
+                         - grad_source(bandwidth(kernel), s, x - e)) / (2 * h)
         worst["cross_hessian"] = max(worst["cross_hessian"], rel_err(ch, fd2))
     ok = all(v < 1e-5 for v in worst.values())
     report(7, ok, ", ".join(f"{k}={v:.2e}" for k, v in worst.items()))

@@ -536,6 +536,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("text,key", [
         pytest.param(SMALL + "mpf.optimizer = foo\n", "mpf.optimizer", id="optimizer"),
         pytest.param(SMALL + "mpf.learning_rate = -1\n", "mpf.learning_rate", id="lr"),
+        pytest.param(SMALL + "mpf.learning_rate = 1e300\n", "mpf.learning_rate",
+                     id="lr-square-overflows"),
         pytest.param(SMALL + "mpf.max_iterations = 0\n", "mpf.max_iterations",
                      id="max_iterations"),
         pytest.param(SMALL + "mpf.grad_ratio_threshold = 2\n",

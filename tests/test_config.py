@@ -71,6 +71,16 @@ class TestLoads:
         with pytest.raises(ConfigError, match="unknown key 'mpf.carry_weights'"):
             loads(MINIMAL + "mpf.carry_weights = true\n")
 
+    @pytest.mark.parametrize("key", ["mpf.carry_weights", "mpf.adadelta_rho", "mpf.adam_beta1",
+                                     "mpf.adam_beta2", "sir.resampler", "output"])
+    def test_removed_key_named_as_removed(self, key):
+        # a key the program read once is rejected as removed, with no hint
+        # toward a key of another meaning
+        with pytest.raises(ConfigError) as err:
+            loads(MINIMAL + f"{key} = 0.9\n")
+        assert str(err.value).endswith(f"unknown key {key!r}: the key was removed")
+        assert "did you mean" not in str(err.value)
+
     def test_bad_type(self):
         with pytest.raises(ConfigError, match="not a valid int"):
             loads("model = lorenz63\nseed = soon\n")

@@ -12,7 +12,7 @@ import mpfilter.ssm as ssm
 from mpfilter.core import ContractViolation, Covariance, CovarianceError, Ensemble
 from mpfilter.kernels import GaussianKernel
 from mpfilter.ssm import PriorMixture
-from oracles import (allocating_form, difference_tensor_form, folded_form,
+from oracles import (allocating_form, bandwidth, difference_tensor_form, folded_form,
                      gemm_tolerance, gram_matrix, mixture_evaluate, mixture_tolerance)
 
 
@@ -140,7 +140,7 @@ class TestPairwiseQuadraticForm:
         assert np.all(d[off_diagonal] == np.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gram = GaussianKernel(cov).interactions(x)
+            gram = GaussianKernel(cov, 1.0).interactions(x)
             _, log_density = PriorMixture(x, cov).evaluate(x)
         np.testing.assert_array_equal(gram, np.eye(5))
         assert np.all(log_density == -np.inf)
@@ -249,8 +249,8 @@ class TestFoldAgainstOracles:
         assert spy.scans == scans
         ok = np.abs(states).max(axis=1) < 1e100  # the rows that do not overflow
         np.testing.assert_allclose(
-            gram, gram_matrix(kernel.bandwidth, states), rtol=0.0,
-            atol=gemm_tolerance(kernel.bandwidth, states))
+            gram, gram_matrix(bandwidth(kernel), states), rtol=0.0,
+            atol=gemm_tolerance(bandwidth(kernel), states))
         old_centers, old_log_density = mixture_evaluate(prior, states)
         tol_log, tol_centers = mixture_tolerance(prior, states)
         np.testing.assert_allclose(log_density, old_log_density, rtol=0.0, atol=tol_log)
@@ -277,15 +277,16 @@ class TestFoldAgainstOracles:
         assert mixture_evaluate(prior, x)[1][0] == -np.inf
         assert abs(prior.evaluate(x)[1][0] - np.log(0.5)) <= 1e-13 * c * c
         states = np.array([[-c], [c], [0.0]])
-        np.testing.assert_array_equal(GaussianKernel(q).interactions(states),
+        np.testing.assert_array_equal(GaussianKernel(q, 1.0).interactions(states),
                                       gram_matrix(q, states))
         # Then subnormal squared norms, within about 1e-154 of the mean,
         # where halving rounds: on a center 4e-162 from the mean, between
         # two centers, the exact log density is log((1 + exp(-2 c^2)) / 2),
-        # about -c^2 = -1.6e-323; the fold reads -1e-323 and the oracle,
-        # whose exp(-2 c^2) rounds to 1, reads 0
+        # about -c^2 = -1.6e-323.  The oracle, whose exp(-2 c^2) rounds to
+        # 1, reads 0, and so does the fold: the particle's -|z_x|^2 / 2 is a
+        # term of the scores' product, lost beside log(1/2) in both scores
         c = 4e-162
         prior = PriorMixture(np.array([[c], [-c]]), q)
         x = np.array([[c]])
         assert mixture_evaluate(prior, x)[1][0] == 0.0
-        assert prior.evaluate(x)[1][0] == -1e-323
+        assert prior.evaluate(x)[1][0] == 0.0

@@ -15,7 +15,7 @@ from mpfilter.diagnostics import (
 from mpfilter.kernels import GaussianKernel
 from mpfilter.models import Lorenz63
 from mpfilter.ssm import PriorMixture, StateSpaceModel
-from oracles import kernel_value, log_posterior_unnormalized
+from oracles import bandwidth, kernel_value, log_posterior_unnormalized
 
 
 def kernel_1d():
@@ -84,7 +84,7 @@ class TestKdeProposal:
         states = rng.standard_normal((6, 1))
         log_q = kde_log_proposal(k, states)
         for j in range(6):
-            explicit = np.log(np.mean([kernel_value(k.bandwidth, s, states[j])
+            explicit = np.log(np.mean([kernel_value(bandwidth(k), s, states[j])
                                        for s in states]))
             assert log_q[j] == pytest.approx(explicit, rel=1e-12)
 

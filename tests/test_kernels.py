@@ -11,6 +11,7 @@ from mpfilter.core import ContractViolation, Covariance
 from mpfilter.kernels import GaussianKernel
 from oracles import (
     allocating_form,
+    bandwidth,
     cross_hessian,
     folded_form,
     gemm_tolerance,
@@ -31,31 +32,34 @@ def random_kernel(rng, dim):
 
 class TestEval:
     def test_identity(self):
-        bw = kernel_1d().bandwidth
+        bw = bandwidth(kernel_1d())
         x = np.array([3.7])
         assert kernel_value(bw, x, x) == 1.0
 
     def test_hand_value(self):
-        bw = kernel_1d().bandwidth
+        bw = bandwidth(kernel_1d())
         assert kernel_value(bw, [0.0], [1.0]) == pytest.approx(np.exp(-0.5), rel=1e-12)
 
     def test_monotone_decay(self):
-        bw = kernel_1d().bandwidth
+        bw = bandwidth(kernel_1d())
         vals = [kernel_value(bw, [0.0], [d]) for d in (0.5, 1.0, 2.0, 5.0, 10.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-20
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
-        bw = random_kernel(rng, 3).bandwidth
+        bw = bandwidth(random_kernel(rng, 3))
         a, b = rng.standard_normal((2, 3))
         assert kernel_value(bw, a, b) == pytest.approx(kernel_value(bw, b, a),
                                                        rel=1e-14)
 
     def test_bandwidth_is_alpha_times_q(self):
+        # the kernel holds Q and alpha; its Gram matrix has bandwidth alpha Q
         q = Covariance.diagonal([2.0, 3.0])
         k = GaussianKernel.from_model_error(q, 4.0)
-        np.testing.assert_allclose(k.bandwidth.matrix(), np.diag([8.0, 12.0]))
+        states = np.array([[0.0, 0.0], [1.0, 2.0]])
+        expected = kernel_value(Covariance.diagonal([8.0, 12.0]), states[0], states[1])
+        assert k.interactions(states)[0, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ContractViolation):
@@ -64,25 +68,25 @@ class TestEval:
     def test_alpha_increases_value(self):
         q = Covariance.diagonal([1.0, 1.0])
         x, xp = np.array([0.0, 0.0]), np.array([1.0, 2.0])
-        k1 = kernel_value(GaussianKernel.from_model_error(q, 1.0).bandwidth, x, xp)
-        k2 = kernel_value(GaussianKernel.from_model_error(q, 5.0).bandwidth, x, xp)
+        k1 = kernel_value(bandwidth(GaussianKernel.from_model_error(q, 1.0)), x, xp)
+        k2 = kernel_value(bandwidth(GaussianKernel.from_model_error(q, 5.0)), x, xp)
         assert k2 > k1
 
 
 class TestGradSource:
     def test_coincident_zero(self):
-        bw = kernel_1d().bandwidth
+        bw = bandwidth(kernel_1d())
         np.testing.assert_array_equal(grad_source(bw, [2.0], [2.0]), [0.0])
 
     def test_hand_value(self):
         # d/dx_l exp(-(x_l-x)^2/2) at (0, 1) = -(0-1) e^{-1/2} = +e^{-1/2}
-        bw = kernel_1d().bandwidth
+        bw = bandwidth(kernel_1d())
         g = grad_source(bw, [0.0], [1.0])
         assert g[0] == pytest.approx(np.exp(-0.5), rel=1e-12)
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(4)
-        bw = random_kernel(rng, 3).bandwidth
+        bw = bandwidth(random_kernel(rng, 3))
         a, b = rng.standard_normal((2, 3))
         np.testing.assert_allclose(grad_source(bw, a, b), -grad_source(bw, b, a),
                                    atol=1e-14)
@@ -92,7 +96,7 @@ class TestGradSource:
         h = 1e-6
         for _ in range(100):
             dim = int(rng.integers(1, 5))
-            bw = random_kernel(rng, dim).bandwidth
+            bw = bandwidth(random_kernel(rng, dim))
             xl, x = rng.standard_normal((2, dim))
             grad = grad_source(bw, xl, x)
             fd = np.empty(dim)
@@ -107,12 +111,12 @@ class TestGradSource:
 
 class TestCrossHessian:
     def test_coincident_1d(self):
-        bw = kernel_1d().bandwidth
+        bw = bandwidth(kernel_1d())
         np.testing.assert_allclose(cross_hessian(bw, [0.0], [0.0]), [[1.0]])
 
     def test_hand_value_zero(self):
         # (1 - d^2) K vanishes at |d| = 1 for unit bandwidth
-        bw = kernel_1d().bandwidth
+        bw = bandwidth(kernel_1d())
         np.testing.assert_allclose(cross_hessian(bw, [0.0], [1.0]), [[0.0]],
                                    atol=1e-15)
 
@@ -122,7 +126,7 @@ class TestCrossHessian:
         h = 1e-6
         for _ in range(100):
             dim = int(rng.integers(1, 4))
-            bw = random_kernel(rng, dim).bandwidth
+            bw = bandwidth(random_kernel(rng, dim))
             xl, xj = rng.standard_normal((2, dim))
             hess = cross_hessian(bw, xl, xj)
             fd = np.empty((dim, dim))
@@ -153,7 +157,7 @@ class TestGram:
         for l in range(5):
             for j in range(5):
                 assert gram[l, j] == pytest.approx(
-                    kernel_value(k.bandwidth, states[l], states[j]), rel=1e-12)
+                    kernel_value(bandwidth(k), states[l], states[j]), rel=1e-12)
 
     @pytest.mark.parametrize("isotropic", [False, True])
     def test_matches_solve_then_contract(self, isotropic):
@@ -169,9 +173,9 @@ class TestGram:
             k = GaussianKernel.from_model_error(q, float(rng.uniform(0.5, 20.0)))
             states = 2.0 * rng.standard_normal((n_p, n_x))
             diffs = states[:, None, :] - states[None, :, :]
-            sdiffs = k.bandwidth.solve(diffs)
+            sdiffs = bandwidth(k).solve(diffs)
             old = np.exp(-0.5 * np.einsum("ljk,ljk->lj", diffs, sdiffs))
-            tol = 1e-13 * max(1.0, k.bandwidth.quadratic_form(states).max())
+            tol = 1e-13 * max(1.0, bandwidth(k).quadratic_form(states).max())
             np.testing.assert_allclose(k.interactions(states), old, rtol=0.0, atol=tol)
 
     def test_unit_diagonal_far_from_origin(self):
@@ -205,8 +209,8 @@ class TestGram:
         k = random_kernel(rng, n_x)
         states = scale * rng.standard_normal((n_p, n_x))
         gram = k.interactions(states)
-        np.testing.assert_allclose(gram, gram_matrix(k.bandwidth, states),
-                                   rtol=0.0, atol=gemm_tolerance(k.bandwidth, states))
+        np.testing.assert_allclose(gram, gram_matrix(bandwidth(k), states),
+                                   rtol=0.0, atol=gemm_tolerance(bandwidth(k), states))
         np.testing.assert_array_equal(np.diag(gram), 1.0)
         if scale > 1e100:
             np.testing.assert_array_equal(gram, np.eye(n_p))
@@ -220,10 +224,10 @@ class TestGram:
         k = random_kernel(rng, 3)
         states = 3.0 * rng.standard_normal((100, 3))
         gram = k.interactions(states)
-        tol = gemm_tolerance(k.bandwidth, states)
+        tol = gemm_tolerance(bandwidth(k), states)
         np.testing.assert_allclose(gram, gram.T, rtol=0.0, atol=tol)
         for form in (folded_form, allocating_form):
-            np.testing.assert_allclose(gram, gram_matrix(k.bandwidth, states, form),
+            np.testing.assert_allclose(gram, gram_matrix(bandwidth(k), states, form),
                                        rtol=0.0, atol=tol)
 
     def test_dimension_mismatch(self):

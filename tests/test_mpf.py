@@ -1,7 +1,8 @@
 """Mapping engine tests: KL gradient field (and its matrix form against the
 pairwise-tensor form it replaced), optimizers, convergence logic, full
-mapping cycles on closed-form Gaussian targets, the shared pairwise
-pass against the unfused per-consumer form, and the stopping iterations
+mapping cycles on closed-form Gaussian targets, the component-first pass
+against the unfused row-major form it replaced (on ordinary states and on
+those that reach its overflow and NaN guards), and the stopping iterations
 of a twin run against the difference-tensor pairwise form."""
 
 import numpy as np
@@ -11,8 +12,8 @@ from mpfilter.config import load_preset
 from mpfilter.core import ContractViolation, Covariance
 from mpfilter.diagnostics import (
     KDE_MAX_DIM,
-    importance_report,
-    kde_log_proposal,
+    effective_sample_size,
+    kl_from_weights,
     weight_variance,
 )
 from mpfilter.experiment import run_twin_experiment
@@ -33,15 +34,26 @@ from mpfilter.mpf import (
     make_optimizer,
     mapping_cycle,
 )
-from mpfilter.ssm import PriorMixture, StateSpaceModel, log_posterior_grad
+from mpfilter.ssm import (
+    NumericalDegeneracyError,
+    PriorMixture,
+    StateSpaceModel,
+    log_posterior_grad,
+)
+import mpfilter.kernels as kernels
 import mpfilter.mpf as mpf
 from oracles import (
     allocating_adadelta,
     allocating_adam,
+    bandwidth,
     difference_tensor_form,
     grad_source,
     gram_matrix,
     mixture_evaluate,
+    mixture_log_psi,
+    row_major_field,
+    row_major_grad,
+    row_major_weights,
 )
 
 
@@ -125,7 +137,7 @@ def tensor_form_field(kernel, states, logp_grads):
     repulsion summed over the (N_p, N_p, n_x) tensor
     ``sdiffs[l, j] = A^{-1} (x_l - x_j)``."""
     diffs = states[:, None, :] - states[None, :, :]
-    sdiffs = kernel.bandwidth.solve(diffs)
+    sdiffs = bandwidth(kernel).solve(diffs)
     gram = np.exp(-0.5 * np.einsum("ljk,ljk->lj", diffs, sdiffs))
     repulse = -np.einsum("lj,ljk->jk", gram, sdiffs)
     return -(gram.T @ logp_grads + repulse) / states.shape[0]
@@ -164,7 +176,7 @@ class TestMatrixFormRepulsion:
         field = kl_gradient_field(kernel, states, np.zeros_like(states),
                                   kernel.interactions(states))
         oracle = np.array([
-            -np.mean([grad_source(kernel.bandwidth, xl, xj) for xl in states], axis=0)
+            -np.mean([grad_source(bandwidth(kernel), xl, xj) for xl in states], axis=0)
             for xj in states])
         assert np.max(np.abs(oracle)) > 1e-3
         np.testing.assert_allclose(field, oracle, rtol=0.0,
@@ -370,74 +382,79 @@ def lorenz_like_cycle(n_x, n_p=20, seed=11):
 
 
 def unfused_mapping(ssm, centers, states, y, kernel, cfg):
-    """The mapping loop with each consumer building its own pairwise pass:
-    the gradient from ``log_posterior_grad`` and ``interactions``, then the
-    neff rule and the closing report from ``kde_log_proposal`` and
-    ``importance_report``."""
+    """The mapping loop as it was formed on particles stored by row, each
+    consumer building its own pairwise pass: the gradient, the Gram matrix
+    and the KL field, then the neff rule and the closing report from the
+    KDE weights (``tests/oracles.py``)."""
     prior = PriorMixture(centers, ssm.q)
+    a = bandwidth(kernel)
     states = states.copy()
     n_p, n_x = states.shape
     opt = make_optimizer(cfg, states.shape)
     grad_norms, neffs = [], []
     for _ in range(cfg.max_iterations):
-        logp_grads = log_posterior_grad(ssm, prior, states, y)
-        gram = kernel.interactions(states)
-        field = kl_gradient_field(kernel, states, logp_grads, gram)
+        logp_grads = row_major_grad(ssm, prior, states, y)
+        field = row_major_field(a, states, logp_grads, gram_matrix(a, states))
         grad_norms.append(float(np.mean(np.linalg.norm(field, axis=1))))
         states = states + opt.step(field)
         if cfg.criterion == "neff":
-            log_q = kde_log_proposal(kernel, states)
-            neffs.append(importance_report(ssm, prior, states, y, log_q,
-                                           route="kde").n_eff)
+            weights = row_major_weights(ssm, prior, states, y, gram_matrix(a, states))
+            neffs.append(effective_sample_size(weights))
         if cfg.criterion != "max_iter" and check_convergence(cfg, grad_norms, neffs, n_p):
             break
-    report = None
+    weights = None
     if n_x <= KDE_MAX_DIM:
-        log_q = kde_log_proposal(kernel, states)
-        report = importance_report(ssm, prior, states, y, log_q, route="kde")
-    return states, grad_norms, neffs, report
+        weights = row_major_weights(ssm, prior, states, y, gram_matrix(a, states))
+    return states, grad_norms, neffs, weights
+
+
+# the largest relative difference the component-first pass, which reorders
+# the row-major form's sums, may show against it
+RTOL = 1e-12
+
+
+def assert_matches_unfused(ssm, centers, forecast, y, kernel, cfg):
+    """Run the mapping and the row-major oracle on one problem: the same
+    iteration count and trace rows, and the states, gradient norms, N_eff
+    and closing report within ``RTOL``."""
+    trace = []
+    analysis, diag = mapping_cycle(ssm, centers, forecast, y, kernel, cfg,
+                                   diag_sink=lambda *row: trace.append(row))
+    states, grad_norms, neffs, weights = unfused_mapping(ssm, centers, forecast, y, kernel, cfg)
+    assert diag.map_iterations == len(grad_norms)
+    np.testing.assert_allclose(analysis.states, states, rtol=RTOL, atol=0.0)
+    assert [row[0] for row in trace] == list(range(1, len(grad_norms) + 1))
+    np.testing.assert_allclose([row[1] for row in trace], grad_norms, rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose([diag.grad_norm_initial, diag.grad_norm_final],
+                               [grad_norms[0], grad_norms[-1]], rtol=RTOL, atol=0.0)
+    if cfg.criterion == "neff":
+        np.testing.assert_allclose([row[2] for row in trace], neffs, rtol=RTOL, atol=0.0)
+    else:
+        assert neffs == [] and np.isnan([row[2] for row in trace]).all()
+    if weights is None:
+        assert np.isnan([diag.neff, diag.kl_from_weights, diag.weight_variance]).all()
+    else:
+        np.testing.assert_allclose(
+            [diag.neff, diag.kl_from_weights, diag.weight_variance],
+            [effective_sample_size(weights), kl_from_weights(weights),
+             weight_variance(weights)], rtol=RTOL, atol=0.0)
+    return diag
 
 
 class TestSharedPairwisePass:
     @pytest.mark.parametrize("optimizer", ["sgd", "adadelta", "adam"])
     @pytest.mark.parametrize("criterion", ["neff", "grad_ratio", "max_iter"])
     def test_matches_unfused_mapping(self, criterion, optimizer):
-        ssm, centers, forecast, y, kernel = lorenz_like_cycle(3)
         # the neff rule fires for every optimizer, grad_ratio for adadelta
         cfg = MappingConfig(optimizer=optimizer, criterion=criterion,
                             learning_rate=0.2, neff_threshold=14.0,
                             max_iterations=40)
-        trace = []
-        analysis, diag = mapping_cycle(ssm, centers, forecast, y, kernel, cfg,
-                                       diag_sink=lambda *row: trace.append(row))
-        states, grad_norms, neffs, report = unfused_mapping(
-            ssm, centers, forecast, y, kernel, cfg)
-        assert diag.map_iterations == len(grad_norms) >= 2
-        np.testing.assert_array_equal(analysis.states, states)
-        assert [row[0] for row in trace] == list(range(1, len(grad_norms) + 1))
-        assert [row[1] for row in trace] == grad_norms
-        assert (diag.grad_norm_initial, diag.grad_norm_final) == (
-            grad_norms[0], grad_norms[-1])
-        if criterion == "neff":
-            assert [row[2] for row in trace] == neffs
-        else:
-            assert neffs == [] and np.isnan([row[2] for row in trace]).all()
-        assert diag.neff == report.n_eff
-        assert diag.kl_from_weights == report.kl_from_weights
-        assert diag.weight_variance == weight_variance(report.weights)
+        diag = assert_matches_unfused(*lorenz_like_cycle(3), cfg)
+        assert diag.map_iterations >= 2
 
     def test_no_report_above_kde_limit(self):
-        ssm, centers, forecast, y, kernel = lorenz_like_cycle(KDE_MAX_DIM + 2)
         cfg = MappingConfig(criterion="grad_ratio", max_iterations=10)
-        trace = []
-        analysis, diag = mapping_cycle(ssm, centers, forecast, y, kernel, cfg,
-                                       diag_sink=lambda *row: trace.append(row))
-        states, grad_norms, _, report = unfused_mapping(
-            ssm, centers, forecast, y, kernel, cfg)
-        np.testing.assert_array_equal(analysis.states, states)
-        assert [row[1] for row in trace] == grad_norms
-        assert report is None
-        assert np.isnan([diag.neff, diag.kl_from_weights, diag.weight_variance]).all()
+        assert_matches_unfused(*lorenz_like_cycle(KDE_MAX_DIM + 2), cfg)
 
     @pytest.mark.parametrize("criterion,n_x,closing_passes", [
         ("neff", 3, 1),
@@ -450,10 +467,10 @@ class TestSharedPairwisePass:
                                            closing_passes):
         # each iteration's gradient needs the pass at its positions; the
         # final positions need one more only for the report, and under the
-        # neff rule that one is the last iteration's
-        # (each pass whitens the particles twice, for the Gram matrix and
-        # for the mixture, whose centers are whitened once, when it is built)
-        calls = {"interactions": 0, "whiten": 0, "evaluate": 0}
+        # neff rule that one is the last iteration's.  Each pass whitens the
+        # particles once, for the Gram matrix and the mixture both; the
+        # centers are whitened once, when the mixture is built
+        calls = {"whiten": 0, "gram": 0, "mix": 0}
 
         def counted(cls, name):
             original = getattr(cls, name)
@@ -463,17 +480,101 @@ class TestSharedPairwisePass:
                 return original(self, *args)
             monkeypatch.setattr(cls, name, wrapper)
 
-        counted(GaussianKernel, "interactions")
         counted(Covariance, "whiten")
-        counted(PriorMixture, "evaluate")
+        counted(GaussianKernel, "gram")
+        counted(PriorMixture, "mix")
         ssm, centers, forecast, y, kernel = lorenz_like_cycle(n_x)
         cfg = MappingConfig(criterion=criterion, learning_rate=0.2,
                             neff_threshold=14.0, max_iterations=40)
         _, diag = mapping_cycle(ssm, centers, forecast, y, kernel, cfg)
         assert diag.map_iterations >= 2
         expected = diag.map_iterations + closing_passes
-        assert calls == {"interactions": expected, "whiten": 2 * expected + 1,
-                         "evaluate": expected}
+        assert calls == {"whiten": expected + 1, "gram": expected, "mix": expected}
+
+
+class _NanScanSpy:
+    """``numpy`` as a module of the program sees it, counting the scans
+    for overflowed terms."""
+
+    def __init__(self):
+        self.scans = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def nan_to_num(self, *args, **kwargs):
+        self.scans += 1
+        return np.nan_to_num(*args, **kwargs)
+
+
+class TestPassGuards:
+    """The guards of the pass on states the row-major form met too: each
+    ends as that form did, with the same results or the same error."""
+
+    CFG = MappingConfig(criterion="max_iter", learning_rate=0.2, max_iterations=6)
+
+    def test_particle_far_from_every_center(self):
+        # 100 standard deviations from the forecast: every log-psi of the
+        # particle is below exp's underflow, so only the max shift keeps
+        # its mixture finite
+        ssm, centers, forecast, y, kernel = lorenz_like_cycle(3)
+        forecast[4] += 100.0 * ssm.q.std
+        prior = PriorMixture(centers, ssm.q)
+        assert np.all(mixture_log_psi(prior, forecast[4:5]) < -745.0)
+        assert_matches_unfused(ssm, centers, forecast, y, kernel, self.CFG)
+
+    def test_gram_bound_overflow(self, monkeypatch):
+        # a bandwidth of 1e-290 Q and two particles 1e10 standard
+        # deviations out on either side of the forecast: the Gram matrix's
+        # bound, 8 h / alpha, overflows, so it scans its exponents (and
+        # only it does), and every particle is alone in its kernel
+        spy = _NanScanSpy()
+        monkeypatch.setattr(kernels, "np", spy)
+        ssm, centers, forecast, y, _ = lorenz_like_cycle(3)
+        forecast[2, 0] += 1e10 * ssm.q.std[0]
+        forecast[3, 0] -= 1e10 * ssm.q.std[0]
+        kernel = GaussianKernel.from_model_error(ssm.q, 1e-290)
+        assert_matches_unfused(ssm, centers, forecast, y, kernel, self.CFG)
+        assert spy.scans == self.CFG.max_iterations + 1
+
+    def test_half_norm_overflow(self, monkeypatch):
+        # a particle near 1e200: its half norm overflows, the Gram matrix
+        # scans its exponents, and the mixture rejects the particle
+        spy = _NanScanSpy()
+        monkeypatch.setattr(kernels, "np", spy)
+        ssm, centers, forecast, y, kernel = lorenz_like_cycle(3)
+        forecast[6] = 1e200
+        with pytest.raises(NumericalDegeneracyError) as err:
+            mapping_cycle(ssm, centers, forecast, y, kernel, self.CFG, cycle=3)
+        assert str(err.value) == ("mapping aborted at cycle 3, iteration 0: "
+                                  "mixture responsibilities underflowed at particle 6")
+        assert spy.scans == 1
+
+    def test_nan_state(self):
+        # a NaN coordinate: its mixture log density is NaN, not -inf, so
+        # the mapping stops at the KL field, which the Gram matrix's zero
+        # weight on the NaN particle (0 times NaN) leaves NaN everywhere
+        ssm, centers, forecast, y, kernel = lorenz_like_cycle(3)
+        forecast[5, 1] = np.nan
+        with pytest.raises(NonFiniteGradientError) as err:
+            mapping_cycle(ssm, centers, forecast, y, kernel, self.CFG, cycle=3)
+        assert str(err.value) == "non-finite KL gradient norm at cycle 3, particle 0, iteration 0"
+
+
+def tensor_gram(kernel, w):
+    """``GaussianKernel.gram`` from the difference tensor of the whitened
+    particles, in whose units the bandwidth is ``alpha I``."""
+    z = w[:-2].T
+    return gram_matrix(Covariance.isotropic(kernel.alpha, z.shape[1]), z,
+                       difference_tensor_form)
+
+
+def tensor_mix(prior, w):
+    """``PriorMixture.mix`` from the difference tensor of the particles,
+    mapped back to state units, against the centers."""
+    x = prior.centers.mean(axis=0) + w[:-2].T * prior.q.std
+    centers_bar, log_density = mixture_evaluate(prior, x, difference_tensor_form)
+    return centers_bar.T, log_density
 
 
 class TestPairwiseFormStoppingIterations:
@@ -486,11 +587,10 @@ class TestPairwiseFormStoppingIterations:
             return run_twin_experiment(cfg).records
 
         gemm = run()
-        # both consumers of pairwise distances: the Gram and the mixture
-        monkeypatch.setattr(GaussianKernel, "interactions", lambda self, x: gram_matrix(
-            self.bandwidth, x, difference_tensor_form))
-        monkeypatch.setattr(PriorMixture, "evaluate", lambda self, x: mixture_evaluate(
-            self, x, difference_tensor_form))
+        # both consumers of the whitened particles: the Gram matrix and the
+        # mixture
+        monkeypatch.setattr(GaussianKernel, "gram", tensor_gram)
+        monkeypatch.setattr(PriorMixture, "mix", tensor_mix)
         tensor = run()
         assert [r.map_iterations for r in gemm] == [r.map_iterations for r in tensor]
         np.testing.assert_allclose([r.rmse for r in gemm], [r.rmse for r in tensor],
@@ -512,7 +612,7 @@ def test_abort_keeps_the_error(monkeypatch):
     def fail(*args, **kwargs):
         raise TwoArgError(3, 1)
 
-    monkeypatch.setattr(mpf, "kl_gradient_field", fail)
+    monkeypatch.setattr(mpf, "whitened_log_posterior_grad", fail)
     ssm, centers, forecast, y, kernel = lorenz_like_cycle(3)
     with pytest.raises(TwoArgError) as err:
         mapping_cycle(ssm, centers, forecast, y, kernel, MappingConfig(), cycle=7)
