@@ -2,7 +2,7 @@
 
 Commands:
 
-* ``mpfilter run <config> [--preset NAME] [--seed N] [--out DIR] [--filter F]``
+* ``mpfilter run (<config> | --preset NAME) [--seed N] [--out DIR] [--filter F]``
 * ``mpfilter list-presets``
 * ``mpfilter check <config>``
 
@@ -21,15 +21,12 @@ import os
 import sys
 
 from mpfilter.config import FILTERS, ConfigError, load_config, load_preset, preset_names
+from mpfilter.core import FilterFailure
 from mpfilter.experiment import build_setup, run_twin_experiment
-from mpfilter.models import IntegrationBlowupError
-from mpfilter.mpf import NonFiniteGradientError
-from mpfilter.ssm import NumericalDegeneracyError
 
 log = logging.getLogger("mpfilter")
-# a bad config, a failed integration or a diverged filter: one line, exit 1
-_RUN_ERRORS = (ConfigError, NumericalDegeneracyError, NonFiniteGradientError,
-              IntegrationBlowupError)
+# a bad config or a failed run: one line, exit 1
+_RUN_ERRORS = (ConfigError, FilterFailure)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,6 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> tuple:
+    if args.preset is not None and args.config:
+        raise ConfigError("run takes a config path or --preset NAME, not both")
     if args.preset is not None:
         cfg = load_preset(args.preset)
         name = args.preset
@@ -102,6 +101,9 @@ def main(argv: list[str] | None = None) -> int:
     except _RUN_ERRORS as exc:
         # the rows written before the failure stay in the partial CSV
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # reading a config raises ConfigError, so an output failed
+        print(f"error: --out {args.out}: {exc}", file=sys.stderr)
         return 1
     if result.records:
         log.info(

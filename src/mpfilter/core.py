@@ -21,8 +21,27 @@ class ContractViolation(ValueError):
     """A caller broke a documented precondition (e.g. dimension mismatch)."""
 
 
-class CovarianceError(ValueError):
-    """Covariance construction rejected (non-positive, non-finite, wrong shape)."""
+class FilterFailure(RuntimeError):
+    """A run failed numerically.  ``kind`` says how: ``integration
+    blow-up``, ``mixture underflow``, ``degenerate weights`` or
+    ``non-finite gradient``.  ``cycle``, ``iteration``, ``particle`` and
+    ``step`` say where, each ``None`` until code that knows it sets it on
+    the way up.  The message is ``text``, then `` at `` and the fields that
+    are set, in that order."""
+
+    WHERE = ("cycle", "iteration", "particle", "step")
+
+    def __init__(self, kind: str, text: str, *, particle: int | None = None,
+                 step: int | None = None):
+        super().__init__(kind, text)
+        self.kind, self.text = kind, text
+        self.cycle = self.iteration = None
+        self.particle, self.step = particle, step
+
+    def __str__(self) -> str:
+        where = [f"{name} {getattr(self, name)}" for name in self.WHERE
+                 if getattr(self, name) is not None]
+        return f"{self.text} at {', '.join(where)}" if where else self.text
 
 
 class Covariance:
@@ -37,9 +56,9 @@ class Covariance:
     def __init__(self, variances: np.ndarray):
         variances = np.asarray(variances, dtype=float)
         if variances.ndim != 1 or variances.size == 0:
-            raise CovarianceError("diagonal covariance needs a 1-D vector")
+            raise ContractViolation("diagonal covariance needs a 1-D vector")
         if not np.all(np.isfinite(variances)) or np.any(variances <= 0.0):
-            raise CovarianceError("diagonal entries must be finite and > 0")
+            raise ContractViolation("diagonal entries must be finite and > 0")
         self._diag = variances.copy()
         self.std = np.sqrt(variances)
         self._inv_std = (1.0 / self.std)[:, None]
@@ -63,7 +82,7 @@ class Covariance:
     def scaled(self, factor: float) -> "Covariance":
         """Return ``factor * self`` as a new covariance (factor > 0)."""
         if factor <= 0.0:
-            raise CovarianceError("scale factor must be > 0")
+            raise ContractViolation("scale factor must be > 0")
         return Covariance.diagonal(self._diag * factor)
 
     def _check_dim(self, n: int):

@@ -19,14 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpfilter.core import ContractViolation, Ensemble
+from mpfilter.core import ContractViolation, Ensemble, FilterFailure
 from mpfilter.kernels import GaussianKernel
-from mpfilter.ssm import (
-    NumericalDegeneracyError,
-    PriorMixture,
-    StateSpaceModel,
-    log_likelihood,
-)
+from mpfilter.ssm import PriorMixture, StateSpaceModel, log_likelihood
 
 KDE_MAX_DIM = 10
 
@@ -104,7 +99,7 @@ def importance_weights(
     log_w = log_lik + log_prior - log_proposal
     top = log_w.max()
     if not np.isfinite(top):
-        raise NumericalDegeneracyError(f"importance log weights degenerate (max {top})")
+        raise FilterFailure("degenerate weights", f"importance log weights degenerate (max {top})")
     w = np.exp(log_w - top)
     w /= w.sum()
     return WeightReport(weights=w, n_eff=effective_sample_size(w), route=route)

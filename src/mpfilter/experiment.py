@@ -8,8 +8,10 @@ writes one CSV row per assimilation cycle.  Setup names no model either:
 the model gives its start, initial ensemble, observation operator and
 climatology.  ``build_setup`` is also where a config is checked: it applies
 every rule on the config's values while it builds the run, so ``mpfilter
-check`` and ``mpfilter run`` reject the same configs.  Identical (config,
-seed) pairs give identical numerical output.
+check`` and ``mpfilter run`` reject the same configs.  A
+``core.FilterFailure`` raised in a cycle gains that cycle's number on its
+way out, and the rows of the cycles before it stay in the CSV.  Identical
+(config, seed) pairs give identical numerical output.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from mpfilter.config import (
     parse_q_spec,
     resolve_mapping_config,
 )
-from mpfilter.core import Covariance, Ensemble
+from mpfilter.core import Covariance, Ensemble, FilterFailure
 from mpfilter.diagnostics import KDE_MAX_DIM, CycleDiag, score_cycle
 from mpfilter.kernels import GaussianKernel
 from mpfilter.mpf import MappingConfig, mapping_cycle
@@ -218,7 +220,7 @@ def _filter_step(cfg: ExperimentConfig, setup: TwinSetup, trace_file):
             def sink(i, gnorm, n_eff):
                 trace_file.write(f"{cycle},{i},{_fmt(gnorm)},{_fmt(n_eff)}\n")
         return mapping_cycle(ssm, centers, states, y, setup.kernel, setup.mapping,
-                             cycle=cycle, diag_sink=sink)
+                             diag_sink=sink)
 
     return mpf_step
 
@@ -233,7 +235,8 @@ def run_twin_experiment(
     When ``out_dir`` is given, and only then, the per-cycle CSV, the
     resolved-config echo and, when enabled, the per-iteration trace CSV
     are written there under ``name`` (default ``{model}-{filter}``);
-    partial CSV output is flushed even when a filter error aborts the run.
+    partial CSV output is flushed even when an error aborts the run.  A
+    ``FilterFailure`` in a cycle is re-raised with its ``cycle`` set.
     """
     setup = build_setup(cfg)
     window = cfg.cycle_steps * cfg.dt
@@ -287,6 +290,9 @@ def run_twin_experiment(
             records.append(record)
             if csv_file is not None:
                 csv_file.write(record.csv_row() + "\n")
+    except FilterFailure as exc:
+        exc.cycle = cycle
+        raise
     finally:
         if csv_file is not None:
             csv_file.close()

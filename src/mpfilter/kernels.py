@@ -36,7 +36,7 @@ class GaussianKernel:
     @classmethod
     def from_model_error(cls, q: Covariance, alpha: float) -> "GaussianKernel":
         """The kernel of bandwidth ``alpha Q``; ``alpha`` must be > 0 and
-        ``alpha Q`` a covariance (``CovarianceError`` otherwise)."""
+        ``alpha Q`` a covariance (``ContractViolation`` otherwise)."""
         if alpha <= 0.0:
             raise ContractViolation("kernel alpha must be > 0")
         q.scaled(alpha)

@@ -25,18 +25,17 @@ from pathlib import Path
 
 import numpy as np
 
-from mpfilter.core import ContractViolation, Covariance
+from mpfilter.core import ContractViolation, Covariance, FilterFailure
 
 R_VARIANCE_FLOOR = 1e-8  # lower bound of the cholera R, (tau y)^2, which is 0 at y = 0
 
 
-class IntegrationBlowupError(RuntimeError):
-    """Integration produced non-finite values."""
-
-    def __init__(self, model_name: str, step: int):
-        super().__init__(f"integration of {model_name} blew up at step {step}")
-        self.model_name = model_name
-        self.step = step
+def _blowup(model_name: str, x: np.ndarray, step: int) -> FilterFailure:
+    """The blow-up of ``x``, stored by component, at ``step``; a batch
+    names its first particle whose column is not finite."""
+    particle = None if x.ndim == 1 else int(np.argmin(np.isfinite(x).all(axis=0)))
+    return FilterFailure("integration blow-up", f"integration of {model_name} blew up",
+                         particle=particle, step=step)
 
 
 def rk4_step(drift, x: np.ndarray, dt: float) -> np.ndarray:
@@ -208,7 +207,7 @@ def _integrate(model, x: np.ndarray, steps: int, every: int = 0):
             for i in range(1, steps + 1):
                 x = rk4_step(drift, x, dt)
                 if not np.isfinite(x).all():
-                    raise IntegrationBlowupError(model.name, i)
+                    raise _blowup(model.name, x, i)
     return np.ascontiguousarray(x.T), samples
 
 
@@ -346,7 +345,7 @@ class CholeraModel:
             for k in range(len(z)):
                 x, dc = self._em_step(x, t0 + k * self.dt, z[k] * sqrt_dt)
                 if not np.all(np.isfinite(x)):
-                    raise IntegrationBlowupError(self.name, k + 1)
+                    raise _blowup(self.name, x, k + 1)
                 delta_c += dc
         return x, delta_c
 

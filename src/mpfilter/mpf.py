@@ -32,6 +32,10 @@ g_l`` and ``sum_l G[l, j] z_l``, from which the repulsion is
 state units, ``Q^{-1/2}`` times it, so its steps, the gradient norms and
 the stopping rules are those of the state coordinates.
 :func:`mapping_cycle` checks its inputs once; what it calls trusts them.
+A run failure inside the mapping (a mixture underflow, degenerate weights
+or a non-finite gradient) is a ``core.FilterFailure`` that names the
+particle where it can; the mapping sets its iteration and the harness
+its cycle.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpfilter.core import ContractViolation, Ensemble
+from mpfilter.core import ContractViolation, Ensemble, FilterFailure
 from mpfilter.diagnostics import (
     KDE_MAX_DIM,
     CycleDiag,
@@ -66,19 +70,6 @@ ADADELTA_RHO = 0.95
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-class NonFiniteGradientError(RuntimeError):
-    """A KL gradient, or its norm, turned non-finite during the mapping."""
-
-    def __init__(self, particle: int, iteration: int, cycle: int | None = None):
-        ctx = f"particle {particle}, iteration {iteration}"
-        if cycle is not None:
-            ctx = f"cycle {cycle}, " + ctx
-        super().__init__(f"non-finite KL gradient norm at {ctx}")
-        self.particle = particle
-        self.iteration = iteration
-        self.cycle = cycle
 
 
 @dataclass
@@ -265,7 +256,6 @@ def mapping_cycle(
     y: np.ndarray,
     kernel: GaussianKernel,
     cfg: MappingConfig,
-    cycle: int | None = None,
     diag_sink=None,
 ) -> tuple[Ensemble, CycleDiag]:
     """Transport the forecast ``states`` toward the sequential posterior
@@ -277,9 +267,9 @@ def mapping_cycle(
     given, receives ``(iteration, mean_grad_norm, neff_or_nan)`` tuples.
     The ``CycleDiag`` carries the iteration count, the first and last mean
     gradient norms and, up to ``KDE_MAX_DIM`` state dimensions, the KDE
-    weight report of the final particles.  An error inside the loop is
-    re-raised with its message prefixed by the cycle and iteration it
-    stopped at; a non-finite gradient raises ``NonFiniteGradientError``.
+    weight report of the final particles.  A ``FilterFailure`` inside the
+    loop, a non-finite gradient among them, gains the iteration it
+    stopped at.
     """
     prior = PriorMixture(centers, ssm.q)
     x = np.array(np.asarray(states, dtype=float).T, order="C")
@@ -316,7 +306,8 @@ def mapping_cycle(
                 norms = np.sqrt((field * field).sum(axis=0))
             finite = np.isfinite(norms)
             if not finite.all():  # name the first bad particle
-                raise NonFiniteGradientError(int(np.argmin(finite)), i, cycle)
+                raise FilterFailure("non-finite gradient", "non-finite KL gradient norm",
+                                    particle=int(np.argmin(finite)))
             grad_norms.append(float(norms.sum() / n_p))
 
             x += opt.step(field)
@@ -338,10 +329,8 @@ def mapping_cycle(
         i = iterations
         if report is None and n_x <= KDE_MAX_DIM:
             report = _Pass(ssm, prior, kernel, y, x).report(ssm)
-    except NonFiniteGradientError:
-        raise
-    except Exception as exc:
-        exc.args = (f"mapping aborted at cycle {cycle}, iteration {i}: {exc}",)
+    except FilterFailure as exc:
+        exc.iteration = i
         raise
     diag = CycleDiag(map_iterations=iterations, grad_norm_initial=grad_norms[0],
                      grad_norm_final=grad_norms[-1])

@@ -32,11 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpfilter.core import ContractViolation, Covariance
-
-
-class NumericalDegeneracyError(RuntimeError):
-    """Mixture responsibilities became non-finite even after log-sum-exp."""
+from mpfilter.core import ContractViolation, Covariance, FilterFailure
 
 
 @dataclass
@@ -193,10 +189,8 @@ def whitened_log_posterior_grad(
     density is ``-inf`` (its responsibilities underflowed) is rejected."""
     centers_bar, log_density = mixture
     if (log_density == -np.inf).any():
-        bad = int(np.argmin(log_density))
-        raise NumericalDegeneracyError(
-            f"mixture responsibilities underflowed at particle {bad}"
-        )
+        raise FilterFailure("mixture underflow", "mixture responsibilities underflowed",
+                            particle=int(np.argmin(log_density)))
     pull = x - centers_bar
     pull /= ssm.q.std[:, None]
     grad = gain @ innov

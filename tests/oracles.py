@@ -40,9 +40,9 @@ from importlib import resources
 import numpy as np
 
 from mpfilter.config import ConfigError
-from mpfilter.core import Ensemble
-from mpfilter.models import IntegrationBlowupError, advance_window, free_run
-from mpfilter.ssm import NumericalDegeneracyError, log_likelihood
+from mpfilter.core import Ensemble, FilterFailure
+from mpfilter.models import advance_window, free_run
+from mpfilter.ssm import log_likelihood
 
 
 def bandwidth(kernel):
@@ -88,9 +88,8 @@ def softmax_responsibilities(log_psi: np.ndarray) -> np.ndarray:
     norm = p.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(norm)) or np.any(norm == 0.0):
         bad = int(np.argmin(np.where(np.isfinite(norm[:, 0]), norm[:, 0], -1.0)))
-        raise NumericalDegeneracyError(
-            f"mixture responsibilities underflowed at particle {bad}"
-        )
+        raise FilterFailure("mixture underflow", "mixture responsibilities underflowed",
+                            particle=bad)
     return p / norm
 
 
@@ -199,8 +198,8 @@ def row_major_grad(ssm, prior, x, y):
     whose mixture log density is ``-inf`` is rejected."""
     centers_bar, log_density = mixture_evaluate(prior, x)
     if (log_density == -np.inf).any():
-        bad = int(np.argmin(log_density))
-        raise NumericalDegeneracyError(f"mixture responsibilities underflowed at particle {bad}")
+        raise FilterFailure("mixture underflow", "mixture responsibilities underflowed",
+                            particle=int(np.argmin(log_density)))
     innov = y - x @ ssm.obs_matrix.T
     return ssm.r.solve(innov) @ ssm.obs_matrix - ssm.q.solve(x - centers_bar)
 
@@ -274,8 +273,9 @@ def row_major_drift(model, x: np.ndarray) -> np.ndarray:
 def row_major_window(model, x: np.ndarray, steps: int, every: int = 0):
     """``steps`` RK4 steps of ``row_major_drift`` from ``x`` ``(..., n_x)``:
     the final state and the states after every ``every``-th step.  A
-    non-finite end state is replayed to raise ``IntegrationBlowupError``
-    at the first step whose state is not finite."""
+    non-finite end state is replayed to raise the integration blow-up at
+    the first step whose state is not finite, naming a batch's first row
+    that is not."""
     def step(x):
         k1 = row_major_drift(model, x)
         k2 = row_major_drift(model, x + 0.5 * model.dt * k1)
@@ -294,8 +294,12 @@ def row_major_window(model, x: np.ndarray, steps: int, every: int = 0):
             x = x0
             for i in range(1, steps + 1):
                 x = step(x)
-                if not np.isfinite(x).all():
-                    raise IntegrationBlowupError(model.name, i)
+                finite = np.isfinite(x).all(axis=-1)
+                if not finite.all():
+                    particle = None if x.ndim == 1 else int(np.flatnonzero(~finite)[0])
+                    raise FilterFailure("integration blow-up",
+                                        f"integration of {model.name} blew up",
+                                        particle=particle, step=i)
     return x, samples
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import mpfilter.cli as cli
 import mpfilter.config as config
+import mpfilter.experiment as experiment
 import mpfilter.models as models
 from mpfilter.cli import main
 from mpfilter.config import ConfigError, default_cholera_params_path, load_preset, loads
@@ -23,7 +24,8 @@ from mpfilter.experiment import (
     resolve_q_diagonal,
     run_twin_experiment,
 )
-from mpfilter.core import Covariance
+from mpfilter.core import Covariance, FilterFailure
+from mpfilter.diagnostics import importance_weights
 from mpfilter.models import (
     R_VARIANCE_FLOOR,
     CholeraModel,
@@ -34,6 +36,7 @@ from mpfilter.models import (
     climatological_variance,
 )
 from mpfilter.rng import RandomStream
+from mpfilter.ssm import PriorMixture, StateSpaceModel, log_posterior_grad
 from oracles import observation_matrix, setup_start
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -494,17 +497,25 @@ class TestCliCommands:
 
     def test_run_divergence_exits_cleanly(self, tmp_path, capsys):
         # sgd with a huge step drives the particles off the mixture: the
-        # mixture density underflows for every particle, so the weight
-        # report after iteration 17 of cycle 0 has no finite log weight
-        cfg = tmp_path / "diverge.cfg"
-        cfg.write_text("model = lorenz63\nseed = 1\nn_particles = 5\n"
-                       "cycles = 5\nspinup_steps = 200\nq_spec = diag:0.3\n"
-                       "mpf.optimizer = sgd\nmpf.learning_rate = 1e9\n")
-        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: ") and "cycle 0" in err[0]
-        assert (tmp_path / "diverge.csv").read_text() == CSV_HEADER + "\n"
+        # mixture density underflows for every particle, so under the neff
+        # rule the weight report after iteration 17 of cycle 0 has no
+        # finite log weight, and under the gradient ratio, which reports
+        # no weights inside the loop, the next iteration's gradient finds
+        # the mixture underflowed
+        for criterion, line in (
+                ("neff", "importance log weights degenerate (max -inf) at cycle 0, iteration 17"),
+                ("grad_ratio", "mixture responsibilities underflowed at cycle 0, "
+                               "iteration 18, particle 0")):
+            cfg = tmp_path / "diverge.cfg"
+            cfg.write_text("model = lorenz63\nseed = 1\nn_particles = 5\n"
+                           "cycles = 5\nspinup_steps = 200\nq_spec = diag:0.3\n"
+                           "mpf.optimizer = sgd\nmpf.learning_rate = 1e9\n"
+                           f"mpf.criterion = {criterion}\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err.strip().splitlines() == [f"error: {line}"]
+            assert (tmp_path / "diverge.csv").read_text() == CSV_HEADER + "\n"
 
     def test_run_integration_blowup_exits_cleanly(self, tmp_path, capsys):
         # dt = 0.2 is far beyond RK4's stability limit for Lorenz-96: the
@@ -531,7 +542,24 @@ class TestCliCommands:
             assert capsys.readouterr().out.strip() == "ok"
             assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: non-finite KL gradient norm at cycle 0, particle 0, iteration 0"]
+        assert err == ["error: non-finite KL gradient norm at cycle 0, iteration 0, particle 0"]
+
+    @pytest.mark.parametrize("filter_name", ["mpf", "sir", "enkf"])
+    def test_run_forecast_blowup_names_cycle_and_particle(self, tmp_path, capsys,
+                                                          filter_name):
+        # a Q of 1e150 passes every rule, and the initial ensemble, one Q
+        # draw around the truth, overflows in the first forecast step
+        cfg = tmp_path / "big_q.cfg"
+        cfg.write_text(SMALL.replace("diag:0.2", "diag:1e150"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(cfg)]) == 0
+            assert capsys.readouterr().out.strip() == "ok"
+            assert main(["run", str(cfg), "--out", str(tmp_path),
+                         "--filter", filter_name]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: integration of lorenz63 blew up at cycle 0, particle 0, step 1"]
+        assert (tmp_path / "big_q.csv").read_text() == CSV_HEADER + "\n"
 
     @pytest.mark.parametrize("text,key", [
         pytest.param(SMALL + "mpf.optimizer = foo\n", "mpf.optimizer", id="optimizer"),
@@ -649,3 +677,111 @@ class TestCliCommands:
     def test_run_unknown_preset(self, capsys):
         assert main(["run", "--preset", "does-not-exist"]) == 1
         assert "unknown preset" in capsys.readouterr().err
+
+    def test_run_config_beside_preset_rejected(self, tmp_path, capsys):
+        # --preset would silently replace the config: run refuses the pair
+        assert main(["run", str(tmp_path / "missing.cfg"), "--preset", "lorenz63-full-5p",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: run takes a config path or --preset NAME, not both"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["small.cfg", "small.cfg/sub"],
+                             ids=["a-file", "under-a-file"])
+    def test_run_out_that_cannot_be_a_directory(self, tmp_path, capsys, out):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL)
+        assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --out {tmp_path / out}: ")
+        assert cfg.read_text() == SMALL
+
+
+def fail_in_cycle_2(monkeypatch):
+    """Start the mapping of cycle 2 from a NaN in particle 1: its KL field,
+    which the Gram matrix's zero weight on that particle (0 times NaN)
+    leaves NaN everywhere, stops the mapping at iteration 0, naming
+    particle 0."""
+    real = experiment.mapping_cycle
+    calls = []
+
+    def mapping(ssm, centers, states, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            states = states.copy()
+            states[1, 0] = np.nan
+        return real(ssm, centers, states, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "mapping_cycle", mapping)
+
+
+class TestFilterFailure:
+    """The one run-failure type: each kind with the fields its raise site
+    knows, the iteration the mapping adds, the cycle the harness adds, and
+    the one line the CLI prints."""
+
+    def test_integration_blowup(self):
+        # a batch names its first particle that is not finite; one state,
+        # the truth, names none
+        model = build_model(loads("model = cholera\nseed = 1\n"))
+        states = np.tile(model.start(1), (4, 1))
+        states[[2, 3], 1] = np.inf
+        with pytest.raises(FilterFailure) as batch:
+            model.forecast(states, 0.0, 5, RandomStream(1).particle_streams(4))
+        with pytest.raises(FilterFailure) as truth:
+            model.advance(states[2], 0.0, 5, None)
+        for err in (batch.value, truth.value):
+            assert err.kind == "integration blow-up"
+            assert (err.cycle, err.iteration, err.step) == (None, None, 1)
+        assert (batch.value.particle, truth.value.particle) == (2, None)
+        assert str(batch.value) == "integration of cholera blew up at particle 2, step 1"
+        assert str(truth.value) == "integration of cholera blew up at step 1"
+
+    def test_mixture_underflow(self):
+        q = Covariance.diagonal([1.0, 1.0, 1.0])
+        ssm = StateSpaceModel(dynamics=Lorenz63(), obs_matrix=np.eye(3), q=q, r=q,
+                              cycle_steps=1)
+        x = np.zeros((4, 3))
+        x[[1, 3]] = 1e200
+        with pytest.raises(FilterFailure) as err:
+            log_posterior_grad(ssm, PriorMixture(np.zeros((2, 3)), q), x, np.zeros(3))
+        assert err.value.kind == "mixture underflow"
+        assert (err.value.cycle, err.value.iteration, err.value.particle,
+                err.value.step) == (None, None, 1, None)
+        assert str(err.value) == "mixture responsibilities underflowed at particle 1"
+
+    def test_degenerate_weights(self):
+        with pytest.raises(FilterFailure) as err:
+            importance_weights(np.full(3, -np.inf), np.zeros(3), np.zeros(3), "kde")
+        assert err.value.kind == "degenerate weights"
+        assert [getattr(err.value, name) for name in FilterFailure.WHERE] == [None] * 4
+        assert str(err.value) == "importance log weights degenerate (max -inf)"
+
+    def test_nonfinite_gradient(self):
+        # an R of 1e-300: the first KL gradients' squared norms overflow
+        with pytest.raises(FilterFailure) as err:
+            run_twin_experiment(loads(SMALL + "r_variance = 1e-300\n"))
+        assert err.value.kind == "non-finite gradient"
+        assert (err.value.cycle, err.value.iteration, err.value.particle,
+                err.value.step) == (0, 0, 0, None)
+
+    def test_harness_sets_the_cycle(self, tmp_path, monkeypatch):
+        fail_in_cycle_2(monkeypatch)
+        with pytest.raises(FilterFailure) as err:
+            run_twin_experiment(loads(SMALL), out_dir=tmp_path, name="fails")
+        assert err.value.kind == "non-finite gradient"
+        assert (err.value.cycle, err.value.iteration, err.value.particle) == (2, 0, 0)
+        header, rows = read_rows(tmp_path / "fails.csv")
+        assert header == CSV_HEADER
+        assert [row.split(",")[0] for row in rows] == ["0", "1"]
+
+    def test_cli_names_the_cycle(self, tmp_path, capsys, monkeypatch):
+        fail_in_cycle_2(monkeypatch)
+        cfg = tmp_path / "fails.cfg"
+        cfg.write_text(SMALL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: non-finite KL gradient norm at cycle 2, iteration 0, particle 0"]
+        assert len(read_rows(tmp_path / "fails.csv")[1]) == 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mpfilter.kernels as kernels
 import mpfilter.ssm as ssm
-from mpfilter.core import ContractViolation, Covariance, CovarianceError, Ensemble
+from mpfilter.core import ContractViolation, Covariance, Ensemble
 from mpfilter.kernels import GaussianKernel
 from mpfilter.ssm import PriorMixture
 from oracles import (allocating_form, bandwidth, difference_tensor_form, folded_form,
@@ -18,19 +18,19 @@ from oracles import (allocating_form, bandwidth, difference_tensor_form, folded_
 
 class TestCovarianceConstruction:
     def test_diagonal_rejects_nonpositive(self):
-        with pytest.raises(CovarianceError):
+        with pytest.raises(ContractViolation):
             Covariance.diagonal([1.0, 0.0])
-        with pytest.raises(CovarianceError):
+        with pytest.raises(ContractViolation):
             Covariance.diagonal([-1.0])
 
     def test_diagonal_rejects_nonfinite(self):
-        with pytest.raises(CovarianceError):
+        with pytest.raises(ContractViolation):
             Covariance.diagonal([np.inf])
 
     def test_scaled(self):
         q = Covariance.diagonal([2.0, 4.0])
         np.testing.assert_allclose(q.scaled(0.5).matrix(), np.diag([1.0, 2.0]))
-        with pytest.raises(CovarianceError):
+        with pytest.raises(ContractViolation):
             q.scaled(0.0)
 
 

@@ -14,11 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mpfilter.core import Covariance
+from mpfilter.core import Covariance, FilterFailure
 from mpfilter.experiment import default_cholera_params_path
 from mpfilter.models import (
     CholeraModel,
-    IntegrationBlowupError,
     Lorenz63,
     Lorenz96,
     advance_window,
@@ -164,9 +163,12 @@ def test_lorenz_window_matches_row_major_form(model, center, scale, n_p):
 @pytest.mark.parametrize("model,center,scale", BLOWUP)
 def test_lorenz_blowup_matches_row_major_form(model, center, scale, n_p):
     x = lorenz_states(center, scale, n_p)
-    with pytest.raises(IntegrationBlowupError) as ref:
+    with pytest.raises(FilterFailure) as ref:
         row_major_window(model, x, 50)
     for window in (advance_window, lambda m, x, s: m.forecast(x, T0, s, None)):
-        with pytest.raises(IntegrationBlowupError) as info:
+        with pytest.raises(FilterFailure) as info:
             window(model, x, 50)
+        assert info.value.kind == ref.value.kind == "integration blow-up"
         assert info.value.step == ref.value.step > 1
+        assert info.value.particle == ref.value.particle
+        assert str(info.value) == str(ref.value)

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mpfilter.core import ContractViolation
+from mpfilter.core import ContractViolation, FilterFailure
 from mpfilter.models import (
     CholeraModel,
     CholeraParams,
-    IntegrationBlowupError,
     Lorenz63,
     OdeModel,
     Lorenz96,
@@ -49,7 +48,7 @@ def first_nonfinite_step(model, x, steps):
 
 def blowup_step(model, x, steps):
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationBlowupError) as info:
+        with pytest.raises(FilterFailure) as info:
             advance_window(model, x, steps)
     return info.value.step
 

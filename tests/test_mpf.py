@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mpfilter.config import load_preset
-from mpfilter.core import ContractViolation, Covariance
+from mpfilter.core import ContractViolation, Covariance, FilterFailure
 from mpfilter.diagnostics import (
     KDE_MAX_DIM,
     effective_sample_size,
@@ -27,7 +27,6 @@ from mpfilter.mpf import (
     AdadeltaOptimizer,
     AdamOptimizer,
     MappingConfig,
-    NonFiniteGradientError,
     SgdOptimizer,
     check_convergence,
     kl_gradient_field,
@@ -35,7 +34,6 @@ from mpfilter.mpf import (
     mapping_cycle,
 )
 from mpfilter.ssm import (
-    NumericalDegeneracyError,
     PriorMixture,
     StateSpaceModel,
     log_posterior_grad,
@@ -251,12 +249,12 @@ class TestOptimizers:
                               cycle_steps=1)
         states = np.array([[0.0], [40.0], [40.1]])
         cfg = MappingConfig(optimizer="sgd", criterion="max_iter")
-        with np.errstate(over="ignore"), \
-                pytest.raises(NonFiniteGradientError) as err:
-            mapping_cycle(ssm, states, states, np.array([0.0]), kernel_1d(), cfg, cycle=4)
-        assert err.value.particle == 1
-        assert err.value.iteration == 0
-        assert err.value.cycle == 4
+        with np.errstate(over="ignore"), pytest.raises(FilterFailure) as err:
+            mapping_cycle(ssm, states, states, np.array([0.0]), kernel_1d(), cfg)
+        assert err.value.kind == "non-finite gradient"
+        assert (err.value.iteration, err.value.particle) == (0, 1)
+        assert (err.value.cycle, err.value.step) == (None, None)
+        assert str(err.value) == "non-finite KL gradient norm at iteration 0, particle 1"
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ContractViolation):
@@ -544,10 +542,12 @@ class TestPassGuards:
         monkeypatch.setattr(kernels, "np", spy)
         ssm, centers, forecast, y, kernel = lorenz_like_cycle(3)
         forecast[6] = 1e200
-        with pytest.raises(NumericalDegeneracyError) as err:
-            mapping_cycle(ssm, centers, forecast, y, kernel, self.CFG, cycle=3)
-        assert str(err.value) == ("mapping aborted at cycle 3, iteration 0: "
-                                  "mixture responsibilities underflowed at particle 6")
+        with pytest.raises(FilterFailure) as err:
+            mapping_cycle(ssm, centers, forecast, y, kernel, self.CFG)
+        assert err.value.kind == "mixture underflow"
+        assert (err.value.iteration, err.value.particle) == (0, 6)
+        assert str(err.value) == ("mixture responsibilities underflowed at "
+                                  "iteration 0, particle 6")
         assert spy.scans == 1
 
     def test_nan_state(self):
@@ -556,9 +556,11 @@ class TestPassGuards:
         # weight on the NaN particle (0 times NaN) leaves NaN everywhere
         ssm, centers, forecast, y, kernel = lorenz_like_cycle(3)
         forecast[5, 1] = np.nan
-        with pytest.raises(NonFiniteGradientError) as err:
-            mapping_cycle(ssm, centers, forecast, y, kernel, self.CFG, cycle=3)
-        assert str(err.value) == "non-finite KL gradient norm at cycle 3, particle 0, iteration 0"
+        with pytest.raises(FilterFailure) as err:
+            mapping_cycle(ssm, centers, forecast, y, kernel, self.CFG)
+        assert err.value.kind == "non-finite gradient"
+        assert (err.value.iteration, err.value.particle) == (0, 0)
+        assert str(err.value) == "non-finite KL gradient norm at iteration 0, particle 0"
 
 
 def tensor_gram(kernel, w):
@@ -597,26 +599,22 @@ class TestPairwiseFormStoppingIterations:
                                    rtol=1e-9, atol=0.0)
 
 
-class TwoArgError(RuntimeError):
-    """An error whose constructor does not take a message."""
-
-    def __init__(self, particle: int, iteration: int):
-        super().__init__(f"particle {particle} failed at iteration {iteration}")
-        self.particle = particle
-        self.iteration = iteration
-
-
 def test_abort_keeps_the_error(monkeypatch):
-    # the mapping names where it stopped in the message, and re-raises the
-    # error itself: same type, same attributes, no second construction
-    def fail(*args, **kwargs):
-        raise TwoArgError(3, 1)
+    # a FilterFailure raised inside the loop comes out as itself, with the
+    # iteration set and the fields it had kept; any other error passes
+    # through untouched
+    failure = FilterFailure("mixture underflow", "mixture responsibilities underflowed",
+                            particle=3)
+    foreign = KeyError("not a run failure")
+    for error in (failure, foreign):
+        def fail(*args, **kwargs):
+            raise error
 
-    monkeypatch.setattr(mpf, "whitened_log_posterior_grad", fail)
-    ssm, centers, forecast, y, kernel = lorenz_like_cycle(3)
-    with pytest.raises(TwoArgError) as err:
-        mapping_cycle(ssm, centers, forecast, y, kernel, MappingConfig(), cycle=7)
-    assert type(err.value) is TwoArgError
-    assert (err.value.particle, err.value.iteration) == (3, 1)
-    assert str(err.value) == (
-        "mapping aborted at cycle 7, iteration 0: particle 3 failed at iteration 1")
+        monkeypatch.setattr(mpf, "whitened_log_posterior_grad", fail)
+        ssm, centers, forecast, y, kernel = lorenz_like_cycle(3)
+        with pytest.raises(type(error)) as err:
+            mapping_cycle(ssm, centers, forecast, y, kernel, MappingConfig())
+        assert err.value is error
+    assert (failure.iteration, failure.particle, failure.cycle) == (0, 3, None)
+    assert str(failure) == "mixture responsibilities underflowed at iteration 0, particle 3"
+    assert foreign.args == ("not a run failure",)

@@ -8,10 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mpfilter.core import ContractViolation, Covariance
+from mpfilter.core import ContractViolation, Covariance, FilterFailure
 from mpfilter.models import Lorenz63
 from mpfilter.ssm import (
-    NumericalDegeneracyError,
     PriorMixture,
     StateSpaceModel,
     log_likelihood,
@@ -145,7 +144,7 @@ class TestPriorMixture:
             _, log_density = prior.evaluate(x)
         assert np.all(log_density == -np.inf)
         assert np.all(mixture_log_psi(prior, x) == -np.inf)
-        with pytest.raises(NumericalDegeneracyError, match="particle 0$"):
+        with pytest.raises(FilterFailure, match="particle 0$"):
             log_posterior_grad(ssm, prior, x, np.zeros(3))
 
     @pytest.mark.parametrize("n_x_pts,n_c", [(1, 1), (7, 5), (100, 100)])
@@ -178,16 +177,17 @@ class TestPriorMixture:
         oracle[0][ok] = softmax_responsibilities(log_psi[ok]) @ prior.centers
         centers_bar, log_density = assert_mixture_close(prior, x, oracle)
         assert log_density[3] == log_density[5] == -np.inf
-        with pytest.raises(NumericalDegeneracyError) as old:
+        with pytest.raises(FilterFailure) as old:
             softmax_responsibilities(log_psi)
-        with pytest.raises(NumericalDegeneracyError) as new:
+        with pytest.raises(FilterFailure) as new:
             log_posterior_grad(ssm, prior, x, y)
         assert str(new.value) == str(old.value)
         assert str(old.value).endswith("particle 3")
+        assert (new.value.kind, new.value.particle) == ("mixture underflow", 3)
         far = PriorMixture(1e200 * rng.standard_normal((6, 1)), ssm.q)
         centers_bar, log_density = far.evaluate(x)
         assert np.all(log_density == -np.inf) and np.all(np.isnan(centers_bar))
-        with pytest.raises(NumericalDegeneracyError, match="particle 0$"):
+        with pytest.raises(FilterFailure, match="particle 0$"):
             log_posterior_grad(ssm, far, x, y)
 
     @pytest.mark.parametrize("n_pts,n_x", [(5, 3), (20, 40), (100, 3)])

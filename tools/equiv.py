@@ -8,15 +8,16 @@ each tree runs every MPF preset (the ``filter = mpf`` presets that
 ``mpfilter list-presets`` names) at its own cycle count with the seed
 replaced, all in one fresh interpreter per (tree, seed) with that tree's
 ``src`` on ``PYTHONPATH``, two interpreters at a time.  A run yields its
-time-mean RMSE, mean ``map_iterations``, min N_eff (NaN where the filter
-reports none) and median ``wallclock_ms``.
+time-mean RMSE, mean ``map_iterations`` and min N_eff (NaN where the
+filter reports none).  It reads no wall time: the median ``wallclock_ms``
+of a preset moves by up to 45% between identical trees, so it tells no
+change apart.
 
 Per preset the tool prints, over the seeds, the median of the paired
 differences (change minus parent) of the RMSE, the iterations and the min
 N_eff, with the number of seeds on which the change is higher and lower;
 the parent's seed-to-seed interquartile range (IQR) of the RMSE and of the
-iterations; and the median ``wallclock_ms`` of both trees, so a slowdown
-on a preset outside the benchmark shows.  A preset fails when the median
+iterations.  A preset fails when the median
 paired difference of its RMSE or of its iterations (the ``GATED``
 metrics) exceeds ``BOUND`` times the parent's IQR of that metric, either
 way; when the RMSE moved the same way on at least ``SIGN_SHARE`` of the
@@ -76,7 +77,6 @@ for name in preset_names():
         "rmse": statistics.fmean(r.rmse for r in records),
         "iterations": statistics.fmean(r.map_iterations for r in records),
         "min_neff": min(neffs) if neffs else math.nan,
-        "wallclock_ms": statistics.median(r.wallclock_ms for r in records),
     }
 print(json.dumps(out))
 """
@@ -136,8 +136,6 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
     up, down = sum(d > 0 for d in rmse_diffs), sum(d < 0 for d in rmse_diffs)
     share = max(up, down) / (up + down) if up + down else 0.0
     out["shift"] = share >= SIGN_SHARE and out["rmse_ratio"] > SIGN_FLOOR
-    for side, runs in (("parent", parent), ("change", change)):
-        out[f"{side}_wallclock_ms"] = _median([r["wallclock_ms"] for r in runs if "error" not in r])
     out["ok"] = (bool(pairs) and out["mismatched_errors"] == 0
                  and all(out[f"{metric}_ratio"] <= BOUND for metric in GATED)
                  and not out["shift"])
@@ -162,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
           f"sign on {SIGN_SHARE:.0%} of the seeds it moved on fails above {SIGN_FLOOR} x IQR")
     print(f"{'preset':30} {'dRMSE':>10} {'signs':>7} {'IQR':>8} {'ratio':>6} "
           f"{'dIter':>7} {'signs':>7} {'IQR':>6} {'ratio':>6} "
-          f"{'dMinNeff':>9} {'ms parent':>9} {'ms change':>9}")
+          f"{'dMinNeff':>9}")
     failed = 0
     for name in names:
         s = summarize([r.get(name, {"error": "missing"}) for r in parent],
@@ -172,8 +170,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{s['rmse_iqr']:>8.4f} {s['rmse_ratio']:>6.2f} "
               f"{s['d_iterations']:>+7.2f} {s['d_iterations_signs']:>7} "
               f"{s['iterations_iqr']:>6.2f} {s['iterations_ratio']:>6.2f} "
-              f"{s['d_min_neff']:>+9.3f} {s['parent_wallclock_ms']:>9.2f} "
-              f"{s['change_wallclock_ms']:>9.2f}  {'ok' if s['ok'] else 'FAILS'}"
+              f"{s['d_min_neff']:>+9.3f}  {'ok' if s['ok'] else 'FAILS'}"
               + (" (RMSE shifted)" if s["shift"] else "")
               + (f" ({s['errors']} failed runs)" if s["errors"] else ""))
     print(f"{len(names) - failed} of {len(names)} presets within the bound")
